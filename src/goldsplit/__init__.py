@@ -36,6 +36,7 @@ from .linops import (
     graph_laplacian,
     grid_incidence,
     identity,
+    operator_norm,
 )
 from .metrics import (
     IterationTrace,

@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 abort. All numeric parameters travel through flags; ``--config FILE``
 supplies the same fields as JSON, with explicit flags winning on
 conflict. Stepsizes accept either a plain number or ``<number>/K``,
-which divides by the operator norm resolved via power iteration.
+which divides by the operator norm: exact where a closed form exists,
+otherwise a seeded power-iteration estimate.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import acceptance
 from .errors import GoldsplitError, InsufficientDataError, NumericAbort
-from .linops import estimate_operator_norm
+from .linops import operator_norm
 from .metrics import linear_rate_fit, loglog_slope
 from .problems import (
     GenSpec,
@@ -230,7 +231,7 @@ def cmd_run(args):
                 k_norm_cache["value"] = args.K_norm
             else:
                 seed = args.seed if args.seed is not None else 0
-                k_norm_cache["value"] = estimate_operator_norm(problem.K, seed=seed)
+                k_norm_cache["value"] = operator_norm(problem.K, seed=seed)
         return k_norm_cache["value"]
 
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]

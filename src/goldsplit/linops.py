@@ -1,4 +1,4 @@
-"""Linear operators and spectral-norm estimation.
+"""Linear operators, their spectral norms and spectral-norm estimation.
 
 All operators act on flat float64 vectors. Images are flattened row-major,
 and 2-D gradient fields are stored as two stacked channels of equal length:
@@ -7,6 +7,7 @@ horizontal differences first, then vertical differences.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +45,10 @@ class LinearOperator:
 
     def rmatvec(self, y):
         raise NotImplementedError
+
+    def exact_norm(self):
+        """The spectral norm ||K|| in closed form, or None when there is none."""
+        return None
 
     def __call__(self, x):
         return self.matvec(x)
@@ -162,6 +167,9 @@ class IdentityOperator(LinearOperator):
         self._check_codomain(y)
         return y
 
+    def exact_norm(self):
+        return 1.0 if self.shape.domain_dim > 0 else 0.0
+
 
 class FirstDifference(LinearOperator):
     """Forward difference operator with rows (-1, 1): (Dx)_k = x_{k+1} - x_k."""
@@ -185,6 +193,23 @@ class FirstDifference(LinearOperator):
         out[1:] += y
         return out
 
+    def exact_norm(self):
+        # the largest eigenvalue of the path Laplacian D^T D is
+        # 4 sin^2(pi (n-1) / 2n)
+        return 2.0 * math.sin(math.pi * (self.n - 1) / (2 * self.n))
+
+
+def _grid_norm(rows, cols):
+    """||D|| for the gradient or incidence operator of a rows x cols grid.
+
+    D^T D is the Laplacian of the grid graph, the Kronecker sum of two path
+    Laplacians, so its largest eigenvalue is the sum of theirs.
+    """
+    return math.hypot(
+        2.0 * math.sin(math.pi * (rows - 1) / (2 * rows)),
+        2.0 * math.sin(math.pi * (cols - 1) / (2 * cols)),
+    )
+
 
 class GridIncidence(CsrOperator):
     """Signed edge-node incidence matrix of an n1 x n2 grid graph.
@@ -202,27 +227,23 @@ class GridIncidence(CsrOperator):
         if n1 < 1 or n2 < 1:
             raise DimensionError("grid_incidence needs n1, n2 >= 1")
         self.grid = (n1, n2)
-        rows, cols, vals = [], [], []
-        edge = 0
-        for i in range(n1):
-            for j in range(n2 - 1):
-                a = i * n2 + j
-                rows += [edge, edge]
-                cols += [a, a + 1]
-                vals += [-1.0, 1.0]
-                edge += 1
-        for i in range(n1 - 1):
-            for j in range(n2):
-                a = i * n2 + j
-                rows += [edge, edge]
-                cols += [a, a + n2]
-                vals += [-1.0, 1.0]
-                edge += 1
-        n_edges = n1 * (n2 - 1) + (n1 - 1) * n2
-        mat = sp.coo_matrix(
-            (np.asarray(vals), (rows, cols)), shape=(n_edges, n1 * n2)
+        nodes = np.arange(n1 * n2).reshape(n1, n2)
+        # edge e joins tails[e] (entry -1) to the larger node heads[e] (+1)
+        tails = np.concatenate([nodes[:, :-1].ravel(), nodes[:-1, :].ravel()])
+        heads = np.concatenate([nodes[:, 1:].ravel(), nodes[1:, :].ravel()])
+        n_edges = len(tails)
+        mat = sp.csr_matrix(
+            (
+                np.tile([-1.0, 1.0], n_edges),
+                np.stack([tails, heads], axis=1).ravel(),
+                np.arange(0, 2 * n_edges + 1, 2),
+            ),
+            shape=(n_edges, n1 * n2),
         )
-        super().__init__(mat.tocsr())
+        super().__init__(mat)
+
+    def exact_norm(self):
+        return _grid_norm(*self.grid)
 
 
 class GramOperator(LinearOperator):
@@ -246,6 +267,11 @@ class GramOperator(LinearOperator):
     def rmatvec(self, y):
         return self.matvec(y)
 
+    def exact_norm(self):
+        # ||D^T D|| = ||D||^2
+        inner = _exact_norm(self.inner)
+        return None if inner is None else inner * inner
+
 
 def graph_laplacian(incidence):
     """Return the graph Laplacian D^T D of an incidence (or CSR) operator."""
@@ -258,7 +284,9 @@ class DiscreteGradient2D(LinearOperator):
     The codomain stacks the horizontal channel before the vertical one; the
     last column of the horizontal channel and the last row of the vertical
     channel are identically zero. The adjoint is the negative divergence.
-    The operator norm is below sqrt(8) on every grid.
+    The operator norm is that of the grid's incidence matrix,
+    sqrt(4 sin^2(pi (rows-1) / 2 rows) + 4 sin^2(pi (cols-1) / 2 cols)),
+    which stays below sqrt(8).
     """
 
     kind = "discrete_gradient_2d"
@@ -291,6 +319,9 @@ class DiscreteGradient2D(LinearOperator):
         out[1:, :] += yv[:-1, :]
         return out.ravel()
 
+    def exact_norm(self):
+        return _grid_norm(self.rows, self.cols)
+
 
 def first_difference(n):
     """First difference operator D in R^{(n-1) x n}."""
@@ -311,6 +342,24 @@ def identity(n):
     return IdentityOperator(n)
 
 
+def _exact_norm(op):
+    exact = getattr(op, "exact_norm", None)
+    return None if exact is None else exact()
+
+
+def operator_norm(op, seed=0):
+    """||K|| for the solvers: exact where a closed form exists.
+
+    Operators without one (dense, CSR and duck-typed operators that only
+    provide ``matvec``/``rmatvec``/``shape``) fall back to
+    ``estimate_operator_norm`` with the given seed.
+    """
+    norm = _exact_norm(op)
+    if norm is None:
+        norm = estimate_operator_norm(op, seed=seed)
+    return norm
+
+
 def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):
     """Estimate ||K|| = sqrt(lambda_max(K* K)) by power iteration.
 
@@ -318,7 +367,8 @@ def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):
     stopping when the Rayleigh quotient changes by less than ``tol``
     relative or after ``max_iter`` steps. The result is a lower bound on
     the true norm up to the tolerance, and is nondecreasing in the
-    iteration budget for a fixed seed.
+    iteration budget for a fixed seed. Use ``operator_norm`` for a
+    stepsize bound: it returns the exact norm where a closed form exists.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, DimensionError, ParameterError
-from .linops import DenseOperator, estimate_operator_norm
+from .linops import DenseOperator, operator_norm
 
 
 def _check_step(t, lam=0.0):
@@ -38,6 +38,29 @@ def prox_sq_l2(v, t, weight=1.0, b=None):
     return (v + t * weight * b) / (1.0 + t * weight)
 
 
+# sqrt(a*a + b*b) is within two ulp of np.hypot and several times faster,
+# but its squares overflow for norms near 1e154 and lose relative precision
+# below 1e-154; outside these guards the pixel norms come from np.hypot.
+_SQRT_NORM_MAX = 1e150
+_SQRT_NORM_MIN = 1e-150
+
+
+def _pixel_norms(u, fast=True):
+    """Euclidean norms of the columns of the (2, n) field ``u``.
+
+    With ``fast`` the squares are accumulated in place and the result is
+    taken from them unless the largest norm reaches _SQRT_NORM_MAX or is
+    not finite.
+    """
+    if fast:
+        with np.errstate(over="ignore"):
+            norms = u[0] * u[0]
+            norms += u[1] * u[1]
+        if np.max(norms, initial=0.0) < _SQRT_NORM_MAX**2:
+            return np.sqrt(norms, out=norms)
+    return np.hypot(u[0], u[1])
+
+
 def prox_group_l21(v, t, lam, n_pixels):
     """Pixelwise shrinkage of a 2-channel field toward the group-l21 ball.
 
@@ -50,16 +73,17 @@ def prox_group_l21(v, t, lam, n_pixels):
         raise DimensionError(
             f"group_l21 field must have length {2 * n_pixels}, got {v.shape}"
         )
-    vh = v[:n_pixels]
-    vv = v[n_pixels:]
-    norms = np.hypot(vh, vv)
+    u = v.reshape(2, n_pixels)
     threshold = t * lam
-    scale = np.zeros_like(norms)
+    # a pixel whose squares underflow has a norm far below a threshold
+    # above _SQRT_NORM_MIN, so it is zeroed whichever way its norm is taken
+    norms = _pixel_norms(u, fast=threshold > _SQRT_NORM_MIN)
     # dividing only where the norm exceeds the threshold keeps the ratio
     # in [0, 1) and avoids overflow on subnormal pixel norms
     keep = norms > threshold
-    scale[keep] = 1.0 - threshold / norms[keep]
-    return np.concatenate([vh * scale, vv * scale])
+    scale = np.divide(threshold, norms, out=np.zeros_like(norms), where=keep)
+    np.subtract(1.0, scale, out=scale, where=keep)
+    return (u * scale).ravel()
 
 
 class ProxOracle:
@@ -118,7 +142,13 @@ class GroupL21Prox(ProxOracle):
     def value(self, v):
         if v.shape != (2 * self.n_pixels,):
             raise DimensionError("group_l21 field has wrong length")
-        return self.lam * float(np.hypot(v[: self.n_pixels], v[self.n_pixels :]).sum())
+        u = v.reshape(2, self.n_pixels)
+        total = float(_pixel_norms(u).sum())
+        # a pixel whose squares underflow is off by at most about 3e-162,
+        # which is below rounding once the sum exceeds n_pixels * 1e-146
+        if total <= self.n_pixels * 1e-146:
+            total = float(_pixel_norms(u, fast=False).sum())
+        return self.lam * total
 
     def prox(self, v, t):
         return prox_group_l21(v, t, self.lam, self.n_pixels)
@@ -192,8 +222,8 @@ class ZeroSmooth(SmoothOracle):
 class LeastSquares(SmoothOracle):
     """scale * 1/2 * ||A x - b||^2 with gradient scale * A^T (A x - b).
 
-    The smoothness bound scale * ||A||^2 is estimated by power iteration on
-    first use and cached; pass ``op_norm`` to skip the estimation.
+    The smoothness bound scale * ||A||^2 is computed by ``operator_norm``
+    on first use and cached; pass ``op_norm`` to skip the computation.
     """
 
     kind = "least_squares"
@@ -215,7 +245,7 @@ class LeastSquares(SmoothOracle):
 
     def lipschitz(self):
         if self._op_norm is None:
-            self._op_norm = estimate_operator_norm(self.A)
+            self._op_norm = operator_norm(self.A)
         return self.scale * self._op_norm**2
 
 
@@ -276,7 +306,7 @@ class Logistic(SmoothOracle):
 
     def lipschitz(self):
         if self._op_norm is None:
-            self._op_norm = estimate_operator_norm(self.A)
+            self._op_norm = operator_norm(self.A)
         return 0.25 * self._op_norm**2
 
 
@@ -302,7 +332,7 @@ class QuadraticRidge(SmoothOracle):
 
     def lipschitz(self):
         if self._op_norm is None:
-            self._op_norm = estimate_operator_norm(self.A)
+            self._op_norm = operator_norm(self.A)
         return self._op_norm**2 + self.ridge
 
 

@@ -36,7 +36,7 @@ from .errors import (
     ParameterError,
     StepsizeWarning,
 )
-from .linops import estimate_operator_norm
+from .linops import operator_norm
 from .metrics import IterationTrace, objective, psnr
 from .prox import ZeroSmooth
 
@@ -64,6 +64,15 @@ _REGION_TOL = 1e-5
 _STEP_NOISE_FLOOR = 1e-14
 
 
+def _norm(v):
+    """Euclidean norm of a real 1-D array.
+
+    The same bytes as np.linalg.norm, which computes sqrt(v @ v) for such
+    arrays, at a fraction of its call overhead.
+    """
+    return math.sqrt(v @ v)
+
+
 @dataclass
 class SolverConfig:
     """Algorithm selector plus every scalar parameter.
@@ -72,7 +81,9 @@ class SolverConfig:
     ``tau0`` doubles as the initial stepsize of the adaptive schemes and
     as lambda_0 for agraal; ``tau_max`` bounds the adaptive growth (and is
     lambda_max for agraal). ``extended`` selects the enlarged pgrpda
-    parameter region with psi up to 1 + sqrt(3).
+    parameter region with psi up to 1 + sqrt(3). ``seed`` seeds the
+    power-iteration estimate of an unset ``K_norm``, which is only made
+    for operators without a closed-form norm.
     """
 
     algorithm: str
@@ -218,14 +229,14 @@ def pgrpda_tau_update(tau_prev, dx, dKx, dgrad, mu, mu_prime, beta):
     """
     if tau_prev <= 0:
         raise ParameterError("tau_prev must be positive")
-    ndx = float(np.linalg.norm(dx))
+    ndx = _norm(dx)
     if ndx == 0.0:
         return tau_prev
     candidates = [tau_prev]
-    ndK = float(np.linalg.norm(dKx))
+    ndK = _norm(dKx)
     if ndK > 0.0:
         candidates.append(mu * ndx / (math.sqrt(beta) * ndK))
-    ndg = float(np.linalg.norm(dgrad))
+    ndg = _norm(dgrad)
     if ndg > 0.0:
         candidates.append(mu_prime * ndx / ndg)
     return min(candidates)
@@ -237,10 +248,10 @@ def local_lipschitz(dgrad, dx):
     The None sentinel routes the caller to the growth branch of the
     adaptive stepsize update.
     """
-    ndx = float(np.linalg.norm(dx))
+    ndx = _norm(dx)
     if ndx == 0.0:
         return None
-    return float(np.linalg.norm(dgrad)) / ndx
+    return _norm(dgrad) / ndx
 
 
 def aegrpda_tau_update(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_max):
@@ -348,7 +359,7 @@ def _dual_step(g, base, u, sigma):
 
 
 def _negligible(ndx, x_new):
-    return ndx <= _STEP_NOISE_FLOOR * (1.0 + float(np.linalg.norm(x_new)))
+    return ndx <= _STEP_NOISE_FLOOR * (1.0 + _norm(x_new))
 
 
 def pgrpda_iterate(state, problem, config):
@@ -361,7 +372,7 @@ def pgrpda_iterate(state, problem, config):
     Kx_new = problem.K.matvec(x_new)
     grad_new = problem.h.grad(x_new)
     dx = x_new - state.x
-    ndx = float(np.linalg.norm(dx))
+    ndx = _norm(dx)
     if _negligible(ndx, x_new):
         tau_new = tau
     else:
@@ -406,7 +417,7 @@ def aegrpda_iterate(state, problem, config):
     Kx_new = problem.K.matvec(x_new)
     grad_new = problem.h.grad(x_new)
     dx = x_new - state.x
-    ndx = float(np.linalg.norm(dx))
+    ndx = _norm(dx)
     if _negligible(ndx, x_new):
         L = None
     else:
@@ -449,7 +460,7 @@ def egrpda_iterate(state, problem, config):
     x_new = problem.f.prox(arg, tau)
     Kx_new = problem.K.matvec(x_new)
     w, y_new = _dual_step(problem.g, state.y, Kx_new, state.sigma)
-    state.dx_norm = float(np.linalg.norm(x_new - state.x))
+    state.dx_norm = _norm(x_new - state.x)
     state.x_prev = state.x
     state.x = x_new
     state.z = z
@@ -468,7 +479,7 @@ def grpda_iterate(state, problem, config):
     x_new = problem.f.prox(z - tau * problem.K.rmatvec(state.y), tau)
     Kx_new = problem.K.matvec(x_new)
     w, y_new = _dual_step(problem.g, state.y, Kx_new, state.sigma)
-    state.dx_norm = float(np.linalg.norm(x_new - state.x))
+    state.dx_norm = _norm(x_new - state.x)
     state.x_prev = state.x
     state.x = x_new
     state.z = z
@@ -490,7 +501,7 @@ def condat_vu_iterate(state, problem, config):
     Kx_new = problem.K.matvec(x_new)
     u = 2.0 * Kx_new - state.Kx
     w, y_new = _dual_step(problem.g, state.y, u, state.sigma)
-    state.dx_norm = float(np.linalg.norm(x_new - state.x))
+    state.dx_norm = _norm(x_new - state.x)
     state.x_prev = state.x
     state.z = state.x
     state.x = x_new
@@ -524,14 +535,10 @@ def agraal_iterate(state, problem, config):
     lam = state.tau
     Fx = state.grad_x + problem.K.rmatvec(state.y)
     Fy = -state.Kx
-    du2 = float(np.linalg.norm(state.x - state.x_prev) ** 2) + float(
-        np.linalg.norm(state.y - state.y_prev) ** 2
-    )
-    dF2 = float(np.linalg.norm(Fx - state.Fx_prev) ** 2) + float(
-        np.linalg.norm(Fy - state.Fy_prev) ** 2
-    )
+    du2 = _norm(state.x - state.x_prev) ** 2 + _norm(state.y - state.y_prev) ** 2
+    dF2 = _norm(Fx - state.Fx_prev) ** 2 + _norm(Fy - state.Fy_prev) ** 2
     candidates = [rho * lam, config.tau_max]
-    scale = 1.0 + float(np.linalg.norm(state.x)) + float(np.linalg.norm(state.y))
+    scale = 1.0 + _norm(state.x) + _norm(state.y)
     if math.sqrt(du2) > _STEP_NOISE_FLOOR * scale and dF2 > 0.0:
         candidates.append(psi * state.theta / (4.0 * lam) * du2 / dF2)
     lam_new = min(candidates)
@@ -539,7 +546,7 @@ def agraal_iterate(state, problem, config):
     x_new = problem.f.prox(x_bar - lam_new * Fx, lam_new)
     y_bar = ((psi - 1.0) * state.y + state.y_bar) / psi
     w, y_new = _dual_step(problem.g, y_bar, state.Kx, lam_new)
-    state.dx_norm = float(np.linalg.norm(x_new - state.x))
+    state.dx_norm = _norm(x_new - state.x)
     state.x_prev = state.x
     state.y_prev = state.y
     state.Fx_prev = Fx
@@ -632,7 +639,7 @@ def _resolve_k_norm(problem, config):
     if config.K_norm is not None:
         return config.K_norm
     if config.algorithm == "aegrpda" or config.algorithm in _FIXED_STEP:
-        return estimate_operator_norm(problem.K, seed=config.seed)
+        return operator_norm(problem.K, seed=config.seed)
     return None
 
 
@@ -671,7 +678,7 @@ def run_solver(
     trace = IterationTrace()
     step = ALGORITHMS[config.algorithm]
     x_true = problem.x_true
-    x_true_norm = None if x_true is None else float(np.linalg.norm(x_true))
+    x_true_norm = None if x_true is None else _norm(x_true)
     track_psnr = (
         x_true is not None
         and "rows" in problem.dims
@@ -695,7 +702,7 @@ def run_solver(
         state.w_bar += (state.w - state.w_bar) / state.n_avg
         if record_time:
             state.elapsed = time.perf_counter() - start
-        xz = float(np.linalg.norm(state.x - state.z))
+        xz = _norm(state.x - state.z)
         hit_stop = config.stop_tol > 0.0 and xz <= config.stop_tol
         if n % config.trace_stride == 0 or n == config.max_iters or hit_stop:
             try:
@@ -712,14 +719,12 @@ def run_solver(
                 "theta": state.theta if adaptive_theta else None,
                 "dx": state.dx_norm,
                 "xz": xz,
-                "cviol": float(
-                    np.linalg.norm(problem.K.matvec(state.x_bar) - state.w_bar)
-                ),
+                "cviol": _norm(problem.K.matvec(state.x_bar) - state.w_bar),
             }
             if f_star is not None:
                 row["F_gap"] = row["F"] - f_star
             if x_true is not None and x_true_norm and x_true_norm > 0:
-                row["rel_err"] = float(np.linalg.norm(state.x - x_true)) / x_true_norm
+                row["rel_err"] = _norm(state.x - x_true) / x_true_norm
             if track_psnr:
                 row["psnr"] = psnr(state.x, x_true)
             trace.append(**row)

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from goldsplit.errors import ConstructionError, DimensionError, ParameterError
 from goldsplit.linops import (
+    CsrOperator,
     DenseOperator,
     DiscreteGradient2D,
     FirstDifference,
+    GramOperator,
     GridIncidence,
     IdentityOperator,
     csr_from_triplets,
     estimate_operator_norm,
     graph_laplacian,
+    operator_norm,
 )
 
 from oracles import materialize
@@ -116,6 +120,38 @@ def test_grid_incidence_edge_order_and_signs():
     assert np.array_equal(D, expected)
 
 
+def _grid_incidence_loop(n1, n2):
+    # reference: the edge-by-edge construction the vectorised one replaced
+    rows, cols, vals = [], [], []
+    edge = 0
+    for i in range(n1):
+        for j in range(n2 - 1):
+            a = i * n2 + j
+            rows += [edge, edge]
+            cols += [a, a + 1]
+            vals += [-1.0, 1.0]
+            edge += 1
+    for i in range(n1 - 1):
+        for j in range(n2):
+            a = i * n2 + j
+            rows += [edge, edge]
+            cols += [a, a + n2]
+            vals += [-1.0, 1.0]
+            edge += 1
+    mat = sp.coo_matrix((np.asarray(vals), (rows, cols)), shape=(edge, n1 * n2))
+    return CsrOperator(mat.tocsr())
+
+
+@pytest.mark.parametrize("grid", [(1, 1), (1, 6), (6, 1), (2, 2), (3, 4), (7, 5), (9, 9)])
+def test_grid_incidence_matches_loop_construction(grid):
+    D, ref = GridIncidence(*grid), _grid_incidence_loop(*grid)
+    assert D.shape == ref.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(D, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 def test_grid_incidence_rejects_zero():
     with pytest.raises(DimensionError):
         GridIncidence(0, 3)
@@ -215,6 +251,38 @@ def test_csr_out_of_range_raises():
         csr_from_triplets(3, 3, [(3, 0, 1.0)])
     with pytest.raises(ConstructionError):
         csr_from_triplets(3, 3, [(0, -1, 1.0)])
+
+
+_GRIDS = [(1, 1), (1, 6), (6, 1), (2, 2), (3, 4), (7, 5), (8, 8)]
+_CLOSED_FORMS = (
+    [(f"gradient-{r}x{c}", DiscreteGradient2D(r, c)) for r, c in _GRIDS]
+    + [(f"incidence-{r}x{c}", GridIncidence(r, c)) for r, c in _GRIDS]
+    + [(f"difference-{n}", FirstDifference(n)) for n in range(2, 13)]
+    + [
+        ("identity-0", IdentityOperator(0)),
+        ("identity-7", IdentityOperator(7)),
+        ("gram-difference-9", GramOperator(FirstDifference(9))),
+    ]
+)
+
+
+@pytest.mark.parametrize("op", [op for _, op in _CLOSED_FORMS],
+                         ids=[name for name, _ in _CLOSED_FORMS])
+def test_exact_norm_matches_dense_svd(op):
+    dense = materialize(op)
+    exact = np.linalg.norm(dense, 2) if dense.size else 0.0
+    assert abs(op.exact_norm() - exact) <= 1e-13 * exact
+
+
+def test_operator_norm_falls_back_to_power_iteration(rng):
+    A = rng.standard_normal((9, 7))
+    dense = DenseOperator(A)
+    assert dense.exact_norm() is None
+    assert operator_norm(dense, seed=4) == estimate_operator_norm(dense, seed=4)
+    # a Gram operator of an operator without a closed form has none either
+    gram = GramOperator(dense)
+    assert gram.exact_norm() is None
+    assert operator_norm(gram, seed=2) == estimate_operator_norm(gram, seed=2)
 
 
 def test_norm_identity():

@@ -58,6 +58,61 @@ def test_prox_group_l21_zero_pixel_stays_zero():
     assert out[0] == 0.0 and out[2] == 0.0
 
 
+def _group_l21_hypot(v, t, lam, n_pixels):
+    # reference: pixel norms from np.hypot, which never overflows
+    vh, vv = v[:n_pixels], v[n_pixels:]
+    norms = np.hypot(vh, vv)
+    threshold = t * lam
+    scale = np.zeros_like(norms)
+    keep = norms > threshold
+    scale[keep] = 1.0 - threshold / norms[keep]
+    return np.concatenate([vh * scale, vv * scale])
+
+
+def test_prox_group_l21_agrees_with_hypot_formula():
+    rng = np.random.default_rng(5)
+    n = 5000
+    for exponent in (-120, -3, 0, 4, 120):
+        v = rng.standard_normal(2 * n) * 10.0**exponent
+        norms = np.hypot(v[:n], v[n:])
+        value = GroupL21Prox(1.0, n).value(v)
+        assert abs(value - norms.sum()) <= 2 * np.spacing(norms.sum())
+        for quantile in (0.1, 0.5, 0.9):
+            t = float(np.quantile(norms, quantile))
+            out = prox_group_l21(v, t, 1.0, n)
+            ref = _group_l21_hypot(v, t, 1.0, n)
+            # norms within 2 ulp put the kept fraction 1 - t/norm within
+            # about 2 eps, so each entry is within 4 ulp of its input
+            assert np.all(np.abs(out - ref) <= 4 * np.spacing(np.abs(v)))
+
+
+def test_prox_group_l21_zero_step_is_identity_for_subnormal_pixels():
+    v = np.array([5e-324, 0.0, -3.0, 1e-310, 0.0, -5e-324, 4.0, 1e-310])
+    assert np.array_equal(prox_group_l21(v, 0.0, 2.0, 4), v)
+    assert np.array_equal(prox_group_l21(v, 1.0, 0.0, 4), v)
+    assert GroupL21Prox(1.0, 4).value(v) == np.hypot(v[:4], v[4:]).sum()
+    assert GroupL21Prox(1.0, 4).value(np.full(8, 5e-324)) > 0.0
+
+
+def test_prox_group_l21_huge_entries_stay_finite():
+    v = np.array([1e200, -3e200, 1.0, 4e200, 2e200, 0.0])
+    for t in (0.0, 1.0, 1e199):
+        out = prox_group_l21(v, t, 1.0, 3)
+        assert np.all(np.isfinite(out))
+        assert np.array_equal(out, _group_l21_hypot(v, t, 1.0, 3))
+    value = GroupL21Prox(1.0, 3).value(v)
+    assert math.isfinite(value)
+    assert value == np.hypot(v[:3], v[3:]).sum()
+
+
+def test_prox_group_l21_propagates_nan():
+    v = np.array([np.nan, 1.0, 2.0, 0.5])
+    out = prox_group_l21(v, 1.0, 0.1, 2)
+    assert np.isnan(out[0])
+    np.testing.assert_array_equal(out, _group_l21_hypot(v, 1.0, 0.1, 2))
+    assert np.isnan(GroupL21Prox(1.0, 2).value(v))
+
+
 def test_prox_group_l21_shape_mismatch():
     with pytest.raises(DimensionError):
         prox_group_l21(np.zeros(5), 1.0, 1.0, 2)

@@ -5,9 +5,21 @@ import warnings
 import numpy as np
 import pytest
 
+from goldsplit import linops
 from goldsplit.errors import ConfigError, NumericAbort, StepsizeWarning
-from goldsplit.linops import DenseOperator, IdentityOperator
-from goldsplit.problems import ProblemInstance, gen_lasso, gen_strongly_convex
+from goldsplit.linops import (
+    DenseOperator,
+    DiscreteGradient2D,
+    IdentityOperator,
+    estimate_operator_norm,
+)
+from goldsplit.problems import (
+    ProblemInstance,
+    gen_inpainting,
+    gen_lasso,
+    gen_strongly_convex,
+    synthetic_blocks_image,
+)
 from goldsplit.prox import L1Prox, LeastSquares, SquaredL2Prox, ZeroProx, ZeroSmooth
 from goldsplit.solvers import (
     GOLDEN,
@@ -482,6 +494,36 @@ def test_stop_tol_early_exit():
     assert summary.stop_reason == "stop_tol"
     assert summary.iterations < 50_000
     assert trace.last("xz") <= 1e-9
+
+
+def test_aegrpda_resolves_closed_form_norm_without_power_iteration(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("power iteration called")
+
+    monkeypatch.setattr(linops, "estimate_operator_norm", fail)
+    problem = gen_inpainting(synthetic_blocks_image(12, 10), 0.3, 1e-2, seed=1)
+    cfg = SolverConfig("aegrpda", tau0=1.0, psi=1.5, beta=0.1, max_iters=50)
+    _, _, summary = run_solver(problem, cfg)
+    assert summary.iterations == 50
+    assert summary.k_norm == DiscreteGradient2D(12, 10).exact_norm()
+
+
+def test_duck_typed_operator_norm_uses_seeded_power_iteration(rng):
+    A = rng.standard_normal((8, 6))
+    dense = DenseOperator(A)
+
+    class DuckOperator:
+        shape = dense.shape
+        matvec = dense.matvec
+        rmatvec = dense.rmatvec
+
+    problem = ProblemInstance(
+        f=L1Prox(0.1), g=SquaredL2Prox(1.0, rng.standard_normal(8)),
+        K=DuckOperator(), h=ZeroSmooth(),
+    )
+    cfg = SolverConfig("aegrpda", tau0=1.0, psi=1.5, seed=3, max_iters=5)
+    _, _, summary = run_solver(problem, cfg)
+    assert summary.k_norm == estimate_operator_norm(dense, seed=3)
 
 
 def test_numeric_abort_names_solver_and_iteration():
