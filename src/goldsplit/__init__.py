@@ -30,12 +30,8 @@ from .linops import (
     LinearOperator,
     Shape,
     csr_from_triplets,
-    discrete_gradient_2d,
     estimate_operator_norm,
-    first_difference,
     graph_laplacian,
-    grid_incidence,
-    identity,
     operator_norm,
 )
 from .metrics import (

@@ -1,7 +1,8 @@
 """Command-line harness: ``goldsplit generate|run|verify``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-abort. All numeric parameters travel through flags; ``--config FILE``
+abort (``run`` still runs the solvers listed after the one that aborted).
+All numeric parameters travel through flags; ``--config FILE``
 supplies the same fields as JSON, with explicit flags winning on
 conflict. Stepsizes accept either a plain number or ``<number>/K``,
 which divides by the operator norm: exact where a closed form exists,
@@ -264,6 +265,7 @@ def cmd_run(args):
 
     out.mkdir(parents=True, exist_ok=True)
     x0, y0 = _initial_points(problem, args)
+    aborted = False
     for cfg in configs:
         try:
             state, trace, summary = run_solver(
@@ -271,8 +273,10 @@ def cmd_run(args):
                 f_star_provenance=provenance, record_time=not args.zero_time,
             )
         except NumericAbort as exc:
+            # the remaining solvers still run; the exit code reports the abort
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+            aborted = True
+            continue
         trace.to_csv(out / f"{cfg.algorithm}.csv")
         if "rows" in problem.dims and "cols" in problem.dims:
             recon = np.clip(
@@ -314,7 +318,7 @@ def cmd_run(args):
               f"final F={summary.final.get('F')}")
     if args.manifest and f_star is not None and provenance and "reference run" in provenance:
         update_manifest_f_star(args.manifest, f_star, provenance)
-    return EXIT_OK
+    return EXIT_NUMERIC if aborted else EXIT_OK
 
 
 def cmd_verify(args):

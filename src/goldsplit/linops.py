@@ -50,9 +50,6 @@ class LinearOperator:
         """The spectral norm ||K|| in closed form, or None when there is none."""
         return None
 
-    def __call__(self, x):
-        return self.matvec(x)
-
     def _check_domain(self, x):
         if x.shape != (self.shape.domain_dim,):
             raise DimensionError(
@@ -321,25 +318,6 @@ class DiscreteGradient2D(LinearOperator):
 
     def exact_norm(self):
         return _grid_norm(self.rows, self.cols)
-
-
-def first_difference(n):
-    """First difference operator D in R^{(n-1) x n}."""
-    return FirstDifference(n)
-
-
-def grid_incidence(n1, n2):
-    """Incidence operator of the n1 x n2 grid graph."""
-    return GridIncidence(n1, n2)
-
-
-def discrete_gradient_2d(rows, cols):
-    """Discrete image gradient on a rows x cols grid."""
-    return DiscreteGradient2D(rows, cols)
-
-
-def identity(n):
-    return IdentityOperator(n)
 
 
 def _exact_norm(op):

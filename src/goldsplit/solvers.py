@@ -1,18 +1,20 @@
 """Primal-dual iteration schemes and the shared run loop.
 
-Seven schemes operate on the splitting min_x f(x) + g(Kx) + h(x):
+Seven schemes operate on the splitting min_x f(x) + g(Kx) + h(x). The four
+golden-ratio schemes are one step (``_golden_step``) under a stepsize policy:
 
-* ``pgrpda``    golden-ratio scheme with a nonincreasing primal stepsize
-                driven by local operator and curvature ratios,
-* ``aegrpda``   golden-ratio scheme whose stepsize may also grow in flat
-                regions, using a local Lipschitz estimate and ||K||,
-* ``egrpda``    golden-ratio scheme with fixed stepsizes and the lagged
-                gradient of h,
-* ``grpda``     classical golden-ratio scheme (no smooth term),
-* ``pdhg``      primal-dual hybrid gradient with unit extrapolation,
-* ``condat_vu`` gradient-aware extension of pdhg,
-* ``agraal``    fully adaptive golden-ratio scheme on the joint
-                primal-dual vector field.
+* ``pgrpda``    nonincreasing primal stepsize from local operator and
+                curvature ratios,
+* ``aegrpda``   adaptive: the stepsize may also grow in flat regions, using
+                a local Lipschitz estimate and ||K||,
+* ``egrpda``    fixed stepsizes and the lagged gradient of h,
+* ``grpda``     fixed stepsizes with the smooth term left out (classical).
+
+``pdhg`` (primal-dual hybrid gradient with unit extrapolation) and its
+gradient-aware extension ``condat_vu`` share one step and differ only in
+their stepsize region; ``agraal`` is the fully adaptive golden-ratio scheme
+on the joint primal-dual vector field. ``SCHEMES`` holds one record per
+algorithm: step, policy, parameter checks and region warnings.
 
 Every scheme materializes the auxiliary variable w (the g-block of the
 splitting constraint Kx = w) so the constraint residual of the running
@@ -26,6 +28,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,22 +40,10 @@ from .errors import (
     StepsizeWarning,
 )
 from .linops import operator_norm
-from .metrics import IterationTrace, objective, psnr
+from .metrics import IterationTrace, constraint_violation, objective, psnr
 from .prox import ZeroSmooth
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-ALGORITHM_NAMES = (
-    "pgrpda",
-    "aegrpda",
-    "egrpda",
-    "condat_vu",
-    "pdhg",
-    "grpda",
-    "agraal",
-)
-
-_FIXED_STEP = ("egrpda", "condat_vu", "pdhg", "grpda")
 
 # Tolerance on the strict parameter-region inequalities: published tuned
 # values sit within rounding distance of the bounds.
@@ -117,77 +108,81 @@ def pgrpda_mu_bound(psi):
     return psi / 2.0 + psi * (1.0 + psi - psi**2) / (2.0 * (psi + 1.0))
 
 
-def config_violations(config):
-    """Every violated parameter constraint of the selected algorithm."""
-    v = []
+def _check_golden_psi(config):
+    if not (1.0 < config.psi <= GOLDEN + 1e-12):
+        yield f"{config.algorithm}: psi must lie in (1, {GOLDEN:.6f}] (got {config.psi})"
+
+
+def _check_pgrpda(config):
+    mu, mup, psi = config.mu, config.mu_prime, config.psi
+    if not (mup > 0):
+        yield f"pgrpda: mu_prime must be positive (got {mup})"
+    if config.extended:
+        if not (1.0 < psi < 1.0 + math.sqrt(3.0)):
+            yield f"pgrpda extended: psi must lie in (1, {1 + math.sqrt(3):.6f}) (got {psi})"
+        if not (3.0 * mup < mu):
+            yield f"pgrpda extended: need 3*mu_prime < mu (got {3 * mup} vs {mu})"
+        bound = pgrpda_mu_bound(psi)
+        if not (mu < bound + _REGION_TOL):
+            yield (
+                f"pgrpda extended: need mu < psi/2 + psi(1+psi-psi^2)/(2(psi+1)) "
+                f"= {bound:.6f} (got {mu})"
+            )
+    else:
+        yield from _check_golden_psi(config)
+        if not (2.0 * mup < mu):
+            yield f"pgrpda: need 2*mu_prime < mu (got {2 * mup} vs {mu})"
+        if not (mu < psi / 2.0 + _REGION_TOL):
+            yield f"pgrpda: need mu < psi/2 = {psi / 2.0} (got {mu})"
+
+
+def _check_growth(config):
+    """psi, the growth factor, theta0 and the cap of a stepsize that may grow."""
+    yield from _check_golden_psi(config)
     alg = config.algorithm
-    if alg not in ALGORITHM_NAMES:
+    rho_cap = 1.0 / config.psi + 1.0 / config.psi**2
+    if config.rho is not None and not (0.0 < config.rho <= rho_cap + 1e-12):
+        yield (
+            f"{alg}: rho must lie in (0, 1/psi + 1/psi^2] = (0, {rho_cap:.6f}] "
+            f"(got {config.rho})"
+        )
+    if not (config.theta0 > 0):
+        yield f"{alg}: theta0 must be positive (got {config.theta0})"
+    if config.tau0 > 0 and not (config.tau_max > config.tau0):
+        yield f"{alg}: tau_max must exceed tau0 (got {config.tau_max} <= {config.tau0})"
+
+
+def config_violations(config):
+    """Every violated parameter constraint of the selected algorithm.
+
+    Bounds are written in their rejecting form, so NaN violates each one.
+    """
+    alg = config.algorithm
+    scheme = SCHEMES.get(alg)
+    if scheme is None:
         return [f"unknown algorithm {alg!r}"]
-    if config.max_iters < 0:
+    v = []
+    if not (config.max_iters >= 0):
         v.append(f"max_iters must be >= 0 (got {config.max_iters})")
-    if config.trace_stride < 1:
+    if not (config.trace_stride >= 1):
         v.append(f"trace_stride must be >= 1 (got {config.trace_stride})")
-    if config.stop_tol < 0:
+    if not (config.stop_tol >= 0):
         v.append(f"stop_tol must be >= 0 (got {config.stop_tol})")
-    if config.K_norm is not None and config.K_norm < 0:
+    if config.K_norm is not None and not (config.K_norm >= 0):
         v.append(f"K_norm must be >= 0 (got {config.K_norm})")
-    if config.beta <= 0:
+    if not (config.beta > 0):
         v.append(f"beta must be positive (got {config.beta})")
 
-    if alg in _FIXED_STEP:
-        if config.tau is None or config.tau <= 0:
+    if scheme.fixed_step:
+        if config.tau is None or not (config.tau > 0):
             v.append(f"{alg} needs a fixed tau > 0 (got {config.tau})")
-        if config.sigma is None or config.sigma <= 0:
+        if config.sigma is None or not (config.sigma > 0):
             v.append(f"{alg} needs a fixed sigma > 0 (got {config.sigma})")
-    else:
-        if config.tau0 <= 0:
-            v.append(f"tau0 must be positive (got {config.tau0})")
+    elif not (config.tau0 > 0):
+        v.append(f"tau0 must be positive (got {config.tau0})")
 
-    if alg in ("egrpda", "grpda"):
-        if not (1.0 < config.psi <= GOLDEN + 1e-12):
-            v.append(f"{alg}: psi must lie in (1, {GOLDEN:.6f}] (got {config.psi})")
-
-    if alg == "pgrpda":
-        mu, mup, psi = config.mu, config.mu_prime, config.psi
-        if mup <= 0:
-            v.append(f"pgrpda: mu_prime must be positive (got {mup})")
-        if config.extended:
-            if not (1.0 < psi < 1.0 + math.sqrt(3.0)):
-                v.append(
-                    f"pgrpda extended: psi must lie in (1, {1 + math.sqrt(3):.6f}) "
-                    f"(got {psi})"
-                )
-            if not (3.0 * mup < mu):
-                v.append(f"pgrpda extended: need 3*mu_prime < mu (got {3 * mup} vs {mu})")
-            bound = pgrpda_mu_bound(psi)
-            if not (mu < bound + _REGION_TOL):
-                v.append(
-                    f"pgrpda extended: need mu < psi/2 + psi(1+psi-psi^2)/(2(psi+1)) "
-                    f"= {bound:.6f} (got {mu})"
-                )
-        else:
-            if not (1.0 < psi <= GOLDEN + 1e-12):
-                v.append(f"pgrpda: psi must lie in (1, {GOLDEN:.6f}] (got {psi})")
-            if not (2.0 * mup < mu):
-                v.append(f"pgrpda: need 2*mu_prime < mu (got {2 * mup} vs {mu})")
-            if not (mu < psi / 2.0 + _REGION_TOL):
-                v.append(f"pgrpda: need mu < psi/2 = {psi / 2.0} (got {mu})")
-
-    if alg in ("aegrpda", "agraal"):
-        if not (1.0 < config.psi <= GOLDEN + 1e-12):
-            v.append(f"{alg}: psi must lie in (1, {GOLDEN:.6f}] (got {config.psi})")
-        rho_cap = 1.0 / config.psi + 1.0 / config.psi**2
-        if config.rho is not None and not (0.0 < config.rho <= rho_cap + 1e-12):
-            v.append(
-                f"{alg}: rho must lie in (0, 1/psi + 1/psi^2] = (0, {rho_cap:.6f}] "
-                f"(got {config.rho})"
-            )
-        if config.theta0 <= 0:
-            v.append(f"{alg}: theta0 must be positive (got {config.theta0})")
-        if config.tau0 > 0 and not (config.tau_max > config.tau0):
-            v.append(
-                f"{alg}: tau_max must exceed tau0 (got {config.tau_max} <= {config.tau0})"
-            )
+    if scheme.check is not None:
+        v.extend(scheme.check(config))
     return v
 
 
@@ -259,14 +254,16 @@ def aegrpda_tau_update(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_ma
 
     tau = min{rho tau_prev, psi theta_prev / (9 (L^2 + beta psi ||K||^2) tau_prev),
     tau_max}; the middle branch is skipped when the curvature estimate is
-    undefined (L_n is None). Returns (tau, theta) with theta = psi tau / tau_prev.
+    undefined (L_n is None) or its denominator vanishes (the 1/0 = infinity
+    convention of eta_bound). Returns (tau, theta) with theta = psi tau / tau_prev.
     """
     if tau_prev <= 0 or theta_prev <= 0:
         raise ParameterError("tau_prev and theta_prev must be positive")
     candidates = [rho * tau_prev, tau_max]
     if L_n is not None:
         denom = 9.0 * (L_n**2 + beta * psi * K_norm**2) * tau_prev
-        candidates.append(psi * theta_prev / denom)
+        if denom > 0.0:
+            candidates.append(psi * theta_prev / denom)
     tau = min(candidates)
     theta = psi * tau / tau_prev
     return tau, theta
@@ -318,12 +315,11 @@ def init_state(problem, config, x0=None, y0=None):
         raise ParameterError(
             f"x0/y0 must have lengths {n}/{m}, got {x0.shape}/{y0.shape}"
         )
-    if config.algorithm in _FIXED_STEP:
-        tau = config.tau
-        sigma = config.sigma
+    scheme = SCHEMES[config.algorithm]
+    if scheme.fixed_step:
+        tau, sigma = config.tau, config.sigma
     else:
-        tau = config.tau0
-        sigma = config.beta * tau if config.algorithm != "agraal" else tau
+        tau, sigma = config.tau0, config.beta * config.tau0
     state = SolverState(
         x=x0,
         z=x0.copy(),
@@ -340,11 +336,8 @@ def init_state(problem, config, x0=None, y0=None):
         x_bar=np.zeros(n),
         w_bar=np.zeros(m),
     )
-    if config.algorithm == "agraal":
-        state.y_prev = y0.copy()
-        state.y_bar = y0.copy()
-        state.Fx_prev = state.grad_x + problem.K.rmatvec(y0)
-        state.Fy_prev = -state.Kx
+    if scheme.start is not None:
+        scheme.start(state, problem, config)
     return state
 
 
@@ -362,77 +355,50 @@ def _negligible(ndx, x_new):
     return ndx <= _STEP_NOISE_FLOOR * (1.0 + _norm(x_new))
 
 
-def pgrpda_iterate(state, problem, config):
-    """One step of the partially adaptive golden-ratio scheme."""
-    psi = config.psi
-    tau = state.tau
-    z = ((psi - 1.0) * state.x + state.z) / psi
-    arg = z - tau * problem.K.rmatvec(state.y) - tau * state.grad_x
-    x_new = problem.f.prox(arg, tau)
-    Kx_new = problem.K.matvec(x_new)
-    grad_new = problem.h.grad(x_new)
-    dx = x_new - state.x
-    ndx = _norm(dx)
-    if _negligible(ndx, x_new):
-        tau_new = tau
-    else:
-        tau_new = pgrpda_tau_update(
-            tau,
-            dx,
-            Kx_new - state.Kx,
-            grad_new - state.grad_x,
-            config.mu,
-            config.mu_prime,
-            config.beta,
-        )
-    sigma = config.beta * tau_new
-    w, y_new = _dual_step(problem.g, state.y, Kx_new, sigma)
-    state.x_prev = state.x
-    state.x = x_new
-    state.z = z
-    state.y = y_new
-    state.w = w
-    state.Kx = Kx_new
-    state.grad_x = grad_new
-    state.tau_prev = tau
-    state.tau = tau_new
-    state.sigma = sigma
-    state.theta_prev = state.theta
-    state.theta = tau_new / tau
-    state.dx_norm = ndx
-    return state
+def _nonincreasing_policy(state, config, dx, ndx, x_new, Kx_new, grad_new):
+    """pgrpda: shrink tau by the local operator and curvature ratios."""
+    tau = tau_new = state.tau
+    if not _negligible(ndx, x_new):
+        tau_new = pgrpda_tau_update(tau, dx, Kx_new - state.Kx, grad_new - state.grad_x,
+                                    config.mu, config.mu_prime, config.beta)
+    return tau_new, config.beta * tau_new, tau_new / tau, state.L_local
 
 
-def aegrpda_iterate(state, problem, config):
-    """One step of the fully adaptive golden-ratio scheme (needs ||K||)."""
+def _adaptive_policy(state, config, dx, ndx, x_new, Kx_new, grad_new):
+    """aegrpda: grow or shrink tau from a local Lipschitz estimate and ||K||."""
     if config.K_norm is None:
-        raise ParameterError(
-            "aegrpda needs K_norm; pass it in the config or use run_solver"
-        )
+        raise ParameterError("aegrpda needs K_norm; pass it in the config or use run_solver")
+    L = None if _negligible(ndx, x_new) else local_lipschitz(grad_new - state.grad_x, dx)
+    tau_new, theta_new = aegrpda_tau_update(state.tau, state.theta, L, config.K_norm,
+                                            config.beta, config.psi, config.effective_rho,
+                                            config.tau_max)
+    return tau_new, config.beta * tau_new, theta_new, L
+
+
+def _fixed_policy(state, config, dx, ndx, x_new, Kx_new, grad_new):
+    """egrpda, grpda: keep the configured stepsizes."""
+    return state.tau, state.sigma, state.theta, state.L_local
+
+
+def _golden_step(state, problem, config, scheme):
+    """One golden-ratio step; the scheme supplies the stepsize policy.
+
+    z averages the iterate with the previous z; the primal prox runs from z
+    with the lagged gradient of h unless the scheme leaves the smooth term
+    out (then grad h is never called); the dual step uses the new sigma.
+    """
     psi = config.psi
     tau = state.tau
     z = ((psi - 1.0) * state.x + state.z) / psi
-    arg = z - tau * problem.K.rmatvec(state.y) - tau * state.grad_x
+    arg = z - tau * problem.K.rmatvec(state.y)
+    if scheme.smooth:
+        arg = arg - tau * state.grad_x
     x_new = problem.f.prox(arg, tau)
     Kx_new = problem.K.matvec(x_new)
-    grad_new = problem.h.grad(x_new)
+    grad_new = problem.h.grad(x_new) if scheme.smooth else None
     dx = x_new - state.x
     ndx = _norm(dx)
-    if _negligible(ndx, x_new):
-        L = None
-    else:
-        L = local_lipschitz(grad_new - state.grad_x, dx)
-    tau_new, theta_new = aegrpda_tau_update(
-        tau,
-        state.theta,
-        L,
-        config.K_norm,
-        config.beta,
-        psi,
-        config.effective_rho,
-        config.tau_max,
-    )
-    sigma = config.beta * tau_new
+    tau_new, sigma, theta, L = scheme.policy(state, config, dx, ndx, x_new, Kx_new, grad_new)
     w, y_new = _dual_step(problem.g, state.y, Kx_new, sigma)
     state.x_prev = state.x
     state.x = x_new
@@ -440,60 +406,24 @@ def aegrpda_iterate(state, problem, config):
     state.y = y_new
     state.w = w
     state.Kx = Kx_new
-    state.grad_x = grad_new
+    if scheme.smooth:
+        state.grad_x = grad_new
     state.tau_prev = tau
     state.tau = tau_new
     state.sigma = sigma
     state.theta_prev = state.theta
-    state.theta = theta_new
+    state.theta = theta
     state.L_local = L
     state.dx_norm = ndx
     return state
 
 
-def egrpda_iterate(state, problem, config):
-    """Golden-ratio step with fixed stepsizes and the lagged gradient of h."""
-    psi = config.psi
-    tau = state.tau
-    z = ((psi - 1.0) * state.x + state.z) / psi
-    arg = z - tau * problem.K.rmatvec(state.y) - tau * state.grad_x
-    x_new = problem.f.prox(arg, tau)
-    Kx_new = problem.K.matvec(x_new)
-    w, y_new = _dual_step(problem.g, state.y, Kx_new, state.sigma)
-    state.dx_norm = _norm(x_new - state.x)
-    state.x_prev = state.x
-    state.x = x_new
-    state.z = z
-    state.y = y_new
-    state.w = w
-    state.Kx = Kx_new
-    state.grad_x = problem.h.grad(x_new)
-    return state
-
-
-def grpda_iterate(state, problem, config):
-    """Classical golden-ratio step; the smooth term is not used."""
-    psi = config.psi
-    tau = state.tau
-    z = ((psi - 1.0) * state.x + state.z) / psi
-    x_new = problem.f.prox(z - tau * problem.K.rmatvec(state.y), tau)
-    Kx_new = problem.K.matvec(x_new)
-    w, y_new = _dual_step(problem.g, state.y, Kx_new, state.sigma)
-    state.dx_norm = _norm(x_new - state.x)
-    state.x_prev = state.x
-    state.x = x_new
-    state.z = z
-    state.y = y_new
-    state.w = w
-    state.Kx = Kx_new
-    return state
-
-
-def condat_vu_iterate(state, problem, config):
+def _condat_vu_step(state, problem, config, scheme):
     """Extrapolated primal-dual step with the lagged gradient of h.
 
     The dual update sees K(2 x_n - x_{n-1}); z tracks the previous iterate
-    so the early-exit quantity ||x - z|| is the plain step norm.
+    so the early-exit quantity ||x - z|| is the plain step norm. With h = 0
+    this is the classical pdhg, which shares the step.
     """
     tau = state.tau
     arg = state.x - tau * problem.K.rmatvec(state.y) - tau * state.grad_x
@@ -512,17 +442,16 @@ def condat_vu_iterate(state, problem, config):
     return state
 
 
-def pdhg_iterate(state, problem, config):
-    """Primal-dual hybrid gradient with unit extrapolation.
+def _agraal_start(state, problem, config):
+    """aGRAAL's one stepsize and the lagged dual iterate and vector field."""
+    state.sigma = state.tau
+    state.y_prev = state.y.copy()
+    state.y_bar = state.y.copy()
+    state.Fx_prev = state.grad_x + problem.K.rmatvec(state.y)
+    state.Fy_prev = -state.Kx
 
-    With h = 0 this is the classical scheme; a nonzero h enters through
-    its lagged gradient in the primal step, which makes the iteration the
-    same as condat_vu (only the stepsize region differs).
-    """
-    return condat_vu_iterate(state, problem, config)
 
-
-def agraal_iterate(state, problem, config):
+def _agraal_step(state, problem, config, scheme):
     """Fully adaptive golden-ratio step on the joint primal-dual field.
 
     The vector field is F(x, y) = (grad h(x) + K* y, -K x) over the product
@@ -566,15 +495,72 @@ def agraal_iterate(state, problem, config):
     return state
 
 
-ALGORITHMS = {
-    "pgrpda": pgrpda_iterate,
-    "aegrpda": aegrpda_iterate,
-    "egrpda": egrpda_iterate,
-    "condat_vu": condat_vu_iterate,
-    "pdhg": pdhg_iterate,
-    "grpda": grpda_iterate,
-    "agraal": agraal_iterate,
+# Fixed-stepsize region warnings from tau*sigma*||K||^2; boundary values stay quiet.
+_REGION_SLACK = 1.0 + 1e-9
+
+
+def _egrpda_region(problem, config, ts_k2):
+    q = ts_k2 + 2.0 * config.tau * problem.h.lipschitz()
+    if q >= config.psi * (1.0 - 1e-12):
+        yield f"egrpda: tau*sigma*||K||^2 + 2*tau*L = {q:.6g} reaches psi = {config.psi}"
+
+
+def _grpda_region(problem, config, ts_k2):
+    if ts_k2 > GOLDEN * _REGION_SLACK:
+        yield f"grpda: tau*sigma*||K||^2 = {ts_k2:.6g} exceeds the golden ratio {GOLDEN:.6f}"
+    if not isinstance(problem.h, ZeroSmooth):
+        yield "grpda ignores the smooth term h of this problem; use egrpda or condat_vu instead"
+
+
+def _condat_vu_region(problem, config, ts_k2):
+    q = ts_k2 + config.tau * problem.h.lipschitz() / 2.0
+    if q > _REGION_SLACK:
+        yield f"{config.algorithm}: tau*sigma*||K||^2 + tau*L/2 = {q:.6g} exceeds 1"
+
+
+def _pdhg_region(problem, config, ts_k2):
+    if not isinstance(problem.h, ZeroSmooth):
+        yield from _condat_vu_region(problem, config, ts_k2)
+    elif ts_k2 > _REGION_SLACK:
+        yield f"pdhg: tau*sigma*||K||^2 = {ts_k2:.6g} exceeds 1"
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """One algorithm: its step, stepsize policy, parameter checks and warnings.
+
+    The golden-ratio schemes share ``_golden_step`` and differ only in the
+    ``policy`` that returns (tau, sigma, theta, L_local) and in ``smooth``,
+    whether grad h enters the primal step. A ``fixed_step`` scheme keeps the
+    configured tau and sigma; it and a ``needs_k_norm`` scheme get ||K||
+    resolved before the run. ``check`` yields parameter violations beyond
+    the shared ones, ``region`` the fixed-stepsize region warnings, and
+    ``start`` sets up extra state the step keeps.
+    """
+
+    step: Callable
+    policy: Callable | None = None
+    smooth: bool = True
+    fixed_step: bool = False
+    needs_k_norm: bool = False
+    check: Callable | None = None
+    region: Callable | None = None
+    start: Callable | None = None
+
+
+SCHEMES = {
+    "pgrpda": Scheme(_golden_step, _nonincreasing_policy, check=_check_pgrpda),
+    "aegrpda": Scheme(_golden_step, _adaptive_policy, needs_k_norm=True, check=_check_growth),
+    "egrpda": Scheme(_golden_step, _fixed_policy, fixed_step=True, check=_check_golden_psi,
+                     region=_egrpda_region),
+    "condat_vu": Scheme(_condat_vu_step, fixed_step=True, region=_condat_vu_region),
+    "pdhg": Scheme(_condat_vu_step, fixed_step=True, region=_pdhg_region),
+    "grpda": Scheme(_golden_step, _fixed_policy, smooth=False, fixed_step=True,
+                    check=_check_golden_psi, region=_grpda_region),
+    "agraal": Scheme(_agraal_step, check=_check_growth, start=_agraal_start),
 }
+
+ALGORITHM_NAMES = tuple(SCHEMES)
 
 
 @dataclass
@@ -590,55 +576,19 @@ class RunSummary:
     f_star_provenance: str | None = None
 
 
-def _h_is_zero(problem):
-    return isinstance(problem.h, ZeroSmooth)
-
-
 def _stepsize_messages(problem, config, k_norm):
     """Fixed-stepsize region diagnostics; boundary values stay quiet."""
-    msgs = []
-    alg = config.algorithm
-    if alg not in _FIXED_STEP or k_norm is None:
-        return msgs
-    tau, sigma = config.tau, config.sigma
-    ts_k2 = tau * sigma * k_norm**2
-    slack = 1.0 + 1e-9
-    if alg == "grpda":
-        if ts_k2 > GOLDEN * slack:
-            msgs.append(
-                f"grpda: tau*sigma*||K||^2 = {ts_k2:.6g} exceeds the golden ratio "
-                f"{GOLDEN:.6f}"
-            )
-        if not _h_is_zero(problem):
-            msgs.append(
-                "grpda ignores the smooth term h of this problem; "
-                "use egrpda or condat_vu instead"
-            )
-        return msgs
-    if alg == "pdhg" and _h_is_zero(problem):
-        if ts_k2 > slack:
-            msgs.append(f"pdhg: tau*sigma*||K||^2 = {ts_k2:.6g} exceeds 1")
-        return msgs
-    L = problem.h.lipschitz()
-    if alg in ("pdhg", "condat_vu"):
-        q = ts_k2 + tau * L / 2.0
-        if q > slack:
-            msgs.append(
-                f"{alg}: tau*sigma*||K||^2 + tau*L/2 = {q:.6g} exceeds 1"
-            )
-    elif alg == "egrpda":
-        q = ts_k2 + 2.0 * tau * L
-        if q >= config.psi * (1.0 - 1e-12):
-            msgs.append(
-                f"egrpda: tau*sigma*||K||^2 + 2*tau*L = {q:.6g} reaches psi = {config.psi}"
-            )
-    return msgs
+    region = SCHEMES[config.algorithm].region
+    if region is None or k_norm is None:
+        return []
+    return list(region(problem, config, config.tau * config.sigma * k_norm**2))
 
 
 def _resolve_k_norm(problem, config):
     if config.K_norm is not None:
         return config.K_norm
-    if config.algorithm == "aegrpda" or config.algorithm in _FIXED_STEP:
+    scheme = SCHEMES[config.algorithm]
+    if scheme.fixed_step or scheme.needs_k_norm:
         return operator_norm(problem.K, seed=config.seed)
     return None
 
@@ -676,7 +626,8 @@ def run_solver(
             f_star_provenance = problem.F_star_provenance
     state = init_state(problem, config, x0, y0)
     trace = IterationTrace()
-    step = ALGORITHMS[config.algorithm]
+    scheme = SCHEMES[config.algorithm]
+    step = scheme.step
     x_true = problem.x_true
     x_true_norm = None if x_true is None else _norm(x_true)
     track_psnr = (
@@ -684,12 +635,11 @@ def run_solver(
         and "rows" in problem.dims
         and "cols" in problem.dims
     )
-    adaptive_theta = config.algorithm in ("pgrpda", "aegrpda", "agraal")
 
     stop_reason = "budget"
     start = time.perf_counter()
     for n in range(1, config.max_iters + 1):
-        step(state, problem, config)
+        step(state, problem, config, scheme)
         state.n = n
         if not (
             np.isfinite(state.x).all()
@@ -716,10 +666,10 @@ def run_solver(
                 "F": f_val,
                 "tau": state.tau,
                 "sigma": state.sigma,
-                "theta": state.theta if adaptive_theta else None,
+                "theta": None if scheme.fixed_step else state.theta,
                 "dx": state.dx_norm,
                 "xz": xz,
-                "cviol": _norm(problem.K.matvec(state.x_bar) - state.w_bar),
+                "cviol": constraint_violation(problem.K, state.x_bar, state.w_bar),
             }
             if f_star is not None:
                 row["F_gap"] = row["F"] - f_star

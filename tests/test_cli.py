@@ -126,6 +126,29 @@ def test_run_numeric_abort_exit_code(tmp_path, capsys):
     assert "pdhg" in err and "iteration" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+def test_run_continues_after_numeric_abort(tmp_path, capsys):
+    inst = tmp_path / "inst"
+    assert main([
+        "generate", "--family", "strongly_convex", "--m", "40", "--n", "80",
+        "--seed", "4", "--out", str(inst),
+    ]) == 0
+    out = tmp_path / "runs"
+    code = main([
+        "run", "--manifest", str(inst / "manifest.json"),
+        "--solvers", "egrpda,grpda,pdhg,agraal", "--tau", "0.9/K", "--sigma", "0.9/K",
+        "--max-iters", "300", "--trace-stride", "30", "--out", str(out),
+    ])
+    assert code == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 2
+    assert "egrpda" in errors[0] and "pdhg" in errors[1]
+    assert not (out / "egrpda.csv").exists() and not (out / "pdhg.csv").exists()
+    for solver in ("grpda", "agraal"):
+        assert len(IterationTrace.from_csv(out / f"{solver}.csv")) == 10
+        assert (out / f"{solver}_summary.json").exists()
+
+
 def test_run_config_file_with_flag_override(tmp_path):
     manifest = _generate_lasso(tmp_path)
     cfg_path = tmp_path / "cfg.json"

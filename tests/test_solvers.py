@@ -22,6 +22,7 @@ from goldsplit.problems import (
 )
 from goldsplit.prox import L1Prox, LeastSquares, SquaredL2Prox, ZeroProx, ZeroSmooth
 from goldsplit.solvers import (
+    ALGORITHM_NAMES,
     GOLDEN,
     SolverConfig,
     aegrpda_tau_update,
@@ -100,6 +101,43 @@ def test_validate_reports_every_violation():
     assert len(errs) >= 4
 
 
+_FIXED = ("egrpda", "condat_vu", "pdhg", "grpda")
+
+# every float field of SolverConfig and the schemes whose validation reads it
+_FLOAT_FIELD_READERS = {
+    "tau0": ("pgrpda", "aegrpda", "agraal"),
+    "beta": ALGORITHM_NAMES,
+    "psi": ("pgrpda", "aegrpda", "egrpda", "grpda", "agraal"),
+    "mu": ("pgrpda",),
+    "mu_prime": ("pgrpda",),
+    "rho": ("aegrpda", "agraal"),
+    "theta0": ("aegrpda", "agraal"),
+    "tau_max": ("aegrpda", "agraal"),
+    "tau": _FIXED,
+    "sigma": _FIXED,
+    "K_norm": ALGORITHM_NAMES,
+    "stop_tol": ALGORITHM_NAMES,
+}
+
+
+def test_nan_table_covers_every_float_field():
+    floats = {f.name for f in dataclasses.fields(SolverConfig) if "float" in f.type}
+    assert floats == set(_FLOAT_FIELD_READERS)
+
+
+@pytest.mark.parametrize(
+    "name,alg",
+    [(name, alg) for name, algs in _FLOAT_FIELD_READERS.items() for alg in algs],
+)
+def test_nan_parameter_is_rejected(name, alg):
+    steps = {"tau": 0.1, "sigma": 0.1} if alg in _FIXED else {}
+    base = SolverConfig(alg, **steps)
+    assert validate_config(base) is base
+    with pytest.raises(ConfigError) as exc:
+        validate_config(dataclasses.replace(base, **{name: math.nan}))
+    assert any("nan" in v for v in exc.value.violations)
+
+
 # ---------------------------------------------------------------------------
 # stepsize updates
 
@@ -159,6 +197,14 @@ def test_aegrpda_tau_update_formula():
 def test_aegrpda_tau_update_undefined_curvature():
     tau, theta = aegrpda_tau_update(2.0, 0.9, None, 5.0, 1.0, 1.5, 1.1, 1e7)
     assert tau == 2.2 and math.isclose(theta, 1.5 * 2.2 / 2.0)
+
+
+def test_aegrpda_tau_update_zero_curvature_and_norm():
+    # L = 0 and ||K|| = 0 leave no curvature bound (1/0 = infinity): tau grows
+    psi = 1.5
+    rho = 1.0 / psi + 1.0 / psi**2
+    tau, theta = aegrpda_tau_update(2.0, 0.9, 0.0, 0.0, 1.0, psi, rho, 1e7)
+    assert tau == rho * 2.0 and theta == psi * tau / 2.0
 
 
 def test_aegrpda_update_implies_derived_bounds(rng):
@@ -535,6 +581,69 @@ def test_numeric_abort_names_solver_and_iteration():
             run_solver(problem, cfg, y0=-problem.meta["b"])
     assert exc.value.solver == "pdhg"
     assert 0 < exc.value.iteration <= 2000
+
+
+def test_aegrpda_zero_k_norm_without_curvature():
+    # h = 0 and K_norm = 0 leave the curvature candidate without a bound
+    problem = ProblemInstance(
+        f=L1Prox(0.5),
+        g=SquaredL2Prox(1.0, np.zeros(2)),
+        K=DenseOperator(np.zeros((2, 2))),
+        h=ZeroSmooth(),
+    )
+    cfg = SolverConfig("aegrpda", K_norm=0.0, max_iters=50, trace_stride=50)
+    state, _, summary = run_solver(problem, cfg, x0=np.ones(2))
+    assert summary.stop_reason == "budget" and np.all(state.x == 0.0)
+    # a zero K_norm claimed for a nonzero K lets tau grow unchecked; the run
+    # ends in the documented abort
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericAbort, match="aegrpda"):
+            run_solver(gen_lasso(50, 100, 5, seed=1), SolverConfig("aegrpda", K_norm=0.0))
+
+
+class _CountingSmooth:
+    """A smooth oracle that counts its gradient calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.grad_calls = 0
+
+    def value(self, x):
+        return self.inner.value(x)
+
+    def grad(self, x):
+        self.grad_calls += 1
+        return self.inner.grad(x)
+
+    def lipschitz(self):
+        return self.inner.lipschitz()
+
+
+def test_grpda_ignores_smooth_term(rng):
+    A = rng.standard_normal((6, 5))
+    B = rng.standard_normal((4, 5))
+    b = rng.standard_normal(6)
+    h = _CountingSmooth(LeastSquares(B, rng.standard_normal(4)))
+    runs = []
+    for smooth in (h, ZeroSmooth()):
+        problem = ProblemInstance(
+            f=L1Prox(0.1), g=SquaredL2Prox(1.0, b),
+            K=DenseOperator(A), h=smooth,
+        )
+        cfg = SolverConfig("grpda", psi=1.5, tau=0.1, sigma=0.1, max_iters=40)
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepsizeWarning)
+            state, trace, _ = run_solver(
+                problem, cfg, y0=np.ones(6), callback=lambda st: calls.append(h.grad_calls)
+            )
+        runs.append((state, trace, calls))
+    (state, trace, calls), (zero_state, zero_trace, _) = runs
+    for name in ("x", "z", "y", "w"):
+        assert np.array_equal(getattr(state, name), getattr(zero_state, name))
+    assert np.array_equal(trace.column("dx"), zero_trace.column("dx"))
+    assert calls == [1] * 40  # the one call is init_state's
 
 
 def test_run_determinism_bitwise(tmp_path):
