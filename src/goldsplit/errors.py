@@ -44,12 +44,13 @@ class ConfigError(GoldsplitError, ValueError):
 
 
 class NumericAbort(GoldsplitError, RuntimeError):
-    """A solver produced a non-finite iterate; names the solver and iteration."""
+    """A solver produced a non-finite iterate or a zero stepsize; names the
+    solver and iteration."""
 
-    def __init__(self, solver, iteration):
+    def __init__(self, solver, iteration, reason="non-finite iterate"):
         self.solver = solver
         self.iteration = iteration
-        super().__init__(f"{solver}: non-finite iterate at iteration {iteration}")
+        super().__init__(f"{solver}: {reason} at iteration {iteration}")
 
 
 class InsufficientDataError(GoldsplitError, ValueError):

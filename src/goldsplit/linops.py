@@ -298,19 +298,23 @@ class DiscreteGradient2D(LinearOperator):
     def matvec(self, x):
         self._check_domain(x)
         u = x.reshape(self.rows, self.cols)
-        gh = np.zeros_like(u)
-        gv = np.zeros_like(u)
-        gh[:, :-1] = u[:, 1:] - u[:, :-1]
-        gv[:-1, :] = u[1:, :] - u[:-1, :]
-        return np.concatenate([gh.ravel(), gv.ravel()])
+        out = np.empty((2, self.rows, self.cols), dtype=u.dtype)
+        gh, gv = out
+        np.subtract(u[:, 1:], u[:, :-1], out=gh[:, :-1])
+        gh[:, -1] = 0.0
+        np.subtract(u[1:, :], u[:-1, :], out=gv[:-1, :])
+        gv[-1, :] = 0.0
+        return out.ravel()
 
     def rmatvec(self, y):
         self._check_codomain(y)
         p = self.rows * self.cols
         yh = y[:p].reshape(self.rows, self.cols)
         yv = y[p:].reshape(self.rows, self.cols)
-        out = np.zeros((self.rows, self.cols))
-        out[:, :-1] -= yh[:, :-1]
+        out = np.empty((self.rows, self.cols))
+        # 0 - a, not -a: the sign of a zero entry must match a zero-filled start
+        out[:, -1] = 0.0
+        np.subtract(0.0, yh[:, :-1], out=out[:, :-1])
         out[:, 1:] += yh[:, :-1]
         out[:-1, :] -= yv[:-1, :]
         out[1:, :] += yv[:-1, :]

@@ -78,11 +78,16 @@ def prox_group_l21(v, t, lam, n_pixels):
     # a pixel whose squares underflow has a norm far below a threshold
     # above _SQRT_NORM_MIN, so it is zeroed whichever way its norm is taken
     norms = _pixel_norms(u, fast=threshold > _SQRT_NORM_MIN)
-    # dividing only where the norm exceeds the threshold keeps the ratio
-    # in [0, 1) and avoids overflow on subnormal pixel norms
-    keep = norms > threshold
-    scale = np.divide(threshold, norms, out=np.zeros_like(norms), where=keep)
-    np.subtract(1.0, scale, out=scale, where=keep)
+    if not 0.0 < threshold < np.inf:
+        # scale 1 where the norm exceeds the threshold, else 0; a NaN
+        # pixel's finite partner entry is zeroed
+        return (u * (norms > threshold)).ravel()
+    # raising each norm to at least the threshold keeps the ratio in (0, 1],
+    # avoids overflow on subnormal pixel norms, and gives a NaN pixel the
+    # scale 0 (fmax ignores NaN)
+    scale = np.fmax(norms, threshold)
+    np.divide(threshold, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
     return (u * scale).ravel()
 
 

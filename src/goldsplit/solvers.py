@@ -168,8 +168,8 @@ def config_violations(config):
         v.append(f"trace_stride must be >= 1 (got {config.trace_stride})")
     if not (config.stop_tol >= 0):
         v.append(f"stop_tol must be >= 0 (got {config.stop_tol})")
-    if config.K_norm is not None and not (config.K_norm >= 0):
-        v.append(f"K_norm must be >= 0 (got {config.K_norm})")
+    if config.K_norm is not None and not (0 <= config.K_norm < math.inf):
+        v.append(f"K_norm must be finite and >= 0 (got {config.K_norm})")
     if not (config.beta > 0):
         v.append(f"beta must be positive (got {config.beta})")
 
@@ -224,14 +224,16 @@ def pgrpda_tau_update(tau_prev, dx, dKx, dgrad, mu, mu_prime, beta):
     """
     if tau_prev <= 0:
         raise ParameterError("tau_prev must be positive")
-    ndx = _norm(dx)
+    return _pgrpda_tau(tau_prev, _norm(dx), _norm(dKx), _norm(dgrad), mu, mu_prime, beta)
+
+
+def _pgrpda_tau(tau_prev, ndx, ndK, ndg, mu, mu_prime, beta):
+    """pgrpda_tau_update from the norms of dx, dKx and dgrad."""
     if ndx == 0.0:
         return tau_prev
     candidates = [tau_prev]
-    ndK = _norm(dKx)
     if ndK > 0.0:
         candidates.append(mu * ndx / (math.sqrt(beta) * ndK))
-    ndg = _norm(dgrad)
     if ndg > 0.0:
         candidates.append(mu_prime * ndx / ndg)
     return min(candidates)
@@ -243,10 +245,11 @@ def local_lipschitz(dgrad, dx):
     The None sentinel routes the caller to the growth branch of the
     adaptive stepsize update.
     """
-    ndx = _norm(dx)
-    if ndx == 0.0:
-        return None
-    return _norm(dgrad) / ndx
+    return _local_lipschitz(_norm(dgrad), _norm(dx))
+
+
+def _local_lipschitz(ndg, ndx):
+    return None if ndx == 0.0 else ndg / ndx
 
 
 def aegrpda_tau_update(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_max):
@@ -261,7 +264,7 @@ def aegrpda_tau_update(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_ma
         raise ParameterError("tau_prev and theta_prev must be positive")
     candidates = [rho * tau_prev, tau_max]
     if L_n is not None:
-        denom = 9.0 * (L_n**2 + beta * psi * K_norm**2) * tau_prev
+        denom = 9.0 * (L_n**2 + beta * psi * (K_norm * K_norm)) * tau_prev
         if denom > 0.0:
             candidates.append(psi * theta_prev / denom)
     tau = min(candidates)
@@ -274,7 +277,8 @@ class SolverState:
     """Mutable per-run state shared by all schemes.
 
     ``grad_x`` caches the gradient of h at the current x (the lagged
-    gradient of the next primal step), and ``Kx`` caches K x. For the
+    gradient of the next primal step; when the run leaves h out it keeps
+    the zero gradient of the start), and ``Kx`` caches K x. For the
     non-golden schemes ``z`` holds the previous iterate so that
     ||x - z|| is uniformly the early-exit quantity. The aGRAAL fields
     (y_prev, y_bar, Fx_prev, Fy_prev) stay None elsewhere.
@@ -341,12 +345,15 @@ def init_state(problem, config, x0=None, y0=None):
     return state
 
 
-def _dual_step(g, base, u, sigma):
+def _dual_step(state, config, g, base, u, sigma):
     """Dual ascent through the primal prox of g.
 
     w = prox_{g/sigma}(base/sigma + u) and y = base + sigma (u - w); by the
-    Moreau identity y equals the prox of sigma g* at base + sigma u.
+    Moreau identity y equals the prox of sigma g* at base + sigma u. A
+    stepsize that has reached 0 (or NaN) aborts the current iteration.
     """
+    if not sigma > 0.0:
+        raise NumericAbort(config.algorithm, state.n, "stepsize reached 0")
     w = g.prox(base / sigma + u, 1.0 / sigma)
     return w, base + sigma * (u - w)
 
@@ -355,27 +362,32 @@ def _negligible(ndx, x_new):
     return ndx <= _STEP_NOISE_FLOOR * (1.0 + _norm(x_new))
 
 
-def _nonincreasing_policy(state, config, dx, ndx, x_new, Kx_new, grad_new):
+def _grad_change(state, grad_new):
+    """||grad h(x_new) - grad h(x)||; 0 when the step leaves h out."""
+    return 0.0 if grad_new is None else _norm(grad_new - state.grad_x)
+
+
+def _nonincreasing_policy(state, config, ndx, x_new, Kx_new, grad_new):
     """pgrpda: shrink tau by the local operator and curvature ratios."""
     tau = tau_new = state.tau
     if not _negligible(ndx, x_new):
-        tau_new = pgrpda_tau_update(tau, dx, Kx_new - state.Kx, grad_new - state.grad_x,
-                                    config.mu, config.mu_prime, config.beta)
+        tau_new = _pgrpda_tau(tau, ndx, _norm(Kx_new - state.Kx), _grad_change(state, grad_new),
+                              config.mu, config.mu_prime, config.beta)
     return tau_new, config.beta * tau_new, tau_new / tau, state.L_local
 
 
-def _adaptive_policy(state, config, dx, ndx, x_new, Kx_new, grad_new):
+def _adaptive_policy(state, config, ndx, x_new, Kx_new, grad_new):
     """aegrpda: grow or shrink tau from a local Lipschitz estimate and ||K||."""
     if config.K_norm is None:
         raise ParameterError("aegrpda needs K_norm; pass it in the config or use run_solver")
-    L = None if _negligible(ndx, x_new) else local_lipschitz(grad_new - state.grad_x, dx)
+    L = None if _negligible(ndx, x_new) else _local_lipschitz(_grad_change(state, grad_new), ndx)
     tau_new, theta_new = aegrpda_tau_update(state.tau, state.theta, L, config.K_norm,
                                             config.beta, config.psi, config.effective_rho,
                                             config.tau_max)
     return tau_new, config.beta * tau_new, theta_new, L
 
 
-def _fixed_policy(state, config, dx, ndx, x_new, Kx_new, grad_new):
+def _fixed_policy(state, config, ndx, x_new, Kx_new, grad_new):
     """egrpda, grpda: keep the configured stepsizes."""
     return state.tau, state.sigma, state.theta, state.L_local
 
@@ -396,10 +408,9 @@ def _golden_step(state, problem, config, scheme):
     x_new = problem.f.prox(arg, tau)
     Kx_new = problem.K.matvec(x_new)
     grad_new = problem.h.grad(x_new) if scheme.smooth else None
-    dx = x_new - state.x
-    ndx = _norm(dx)
-    tau_new, sigma, theta, L = scheme.policy(state, config, dx, ndx, x_new, Kx_new, grad_new)
-    w, y_new = _dual_step(problem.g, state.y, Kx_new, sigma)
+    ndx = _norm(x_new - state.x)
+    tau_new, sigma, theta, L = scheme.policy(state, config, ndx, x_new, Kx_new, grad_new)
+    w, y_new = _dual_step(state, config, problem.g, state.y, Kx_new, sigma)
     state.x_prev = state.x
     state.x = x_new
     state.z = z
@@ -426,11 +437,13 @@ def _condat_vu_step(state, problem, config, scheme):
     this is the classical pdhg, which shares the step.
     """
     tau = state.tau
-    arg = state.x - tau * problem.K.rmatvec(state.y) - tau * state.grad_x
+    arg = state.x - tau * problem.K.rmatvec(state.y)
+    if scheme.smooth:
+        arg = arg - tau * state.grad_x
     x_new = problem.f.prox(arg, tau)
     Kx_new = problem.K.matvec(x_new)
     u = 2.0 * Kx_new - state.Kx
-    w, y_new = _dual_step(problem.g, state.y, u, state.sigma)
+    w, y_new = _dual_step(state, config, problem.g, state.y, u, state.sigma)
     state.dx_norm = _norm(x_new - state.x)
     state.x_prev = state.x
     state.z = state.x
@@ -438,7 +451,8 @@ def _condat_vu_step(state, problem, config, scheme):
     state.y = y_new
     state.w = w
     state.Kx = Kx_new
-    state.grad_x = problem.h.grad(x_new)
+    if scheme.smooth:
+        state.grad_x = problem.h.grad(x_new)
     return state
 
 
@@ -474,7 +488,7 @@ def _agraal_step(state, problem, config, scheme):
     x_bar = ((psi - 1.0) * state.x + state.z) / psi
     x_new = problem.f.prox(x_bar - lam_new * Fx, lam_new)
     y_bar = ((psi - 1.0) * state.y + state.y_bar) / psi
-    w, y_new = _dual_step(problem.g, y_bar, state.Kx, lam_new)
+    w, y_new = _dual_step(state, config, problem.g, y_bar, state.Kx, lam_new)
     state.dx_norm = _norm(x_new - state.x)
     state.x_prev = state.x
     state.y_prev = state.y
@@ -486,7 +500,8 @@ def _agraal_step(state, problem, config, scheme):
     state.y = y_new
     state.w = w
     state.Kx = problem.K.matvec(x_new)
-    state.grad_x = problem.h.grad(x_new)
+    if scheme.smooth:
+        state.grad_x = problem.h.grad(x_new)
     state.tau_prev = lam
     state.tau = lam_new
     state.sigma = lam_new
@@ -531,7 +546,8 @@ class Scheme:
 
     The golden-ratio schemes share ``_golden_step`` and differ only in the
     ``policy`` that returns (tau, sigma, theta, L_local) and in ``smooth``,
-    whether grad h enters the primal step. A ``fixed_step`` scheme keeps the
+    whether grad h enters the primal step; ``run_solver`` turns ``smooth``
+    off for every scheme when h is a ``ZeroSmooth``. A ``fixed_step`` scheme keeps the
     configured tau and sigma; it and a ``needs_k_norm`` scheme get ||K||
     resolved before the run. ``check`` yields parameter violations beyond
     the shared ones, ``region`` the fixed-stepsize region warnings, and
@@ -581,7 +597,25 @@ def _stepsize_messages(problem, config, k_norm):
     region = SCHEMES[config.algorithm].region
     if region is None or k_norm is None:
         return []
-    return list(region(problem, config, config.tau * config.sigma * k_norm**2))
+    return list(region(problem, config, config.tau * config.sigma * (k_norm * k_norm)))
+
+
+def _finite_iterates(state):
+    """Whether x, y and tau are finite after a step.
+
+    Every step sets ``dx_norm`` from x_new - x, and a non-finite entry of
+    x_new makes that difference non-finite whatever x holds, so a finite
+    ||dx|| proves the new x finite; a finite y @ y proves y finite. Only
+    when a square sum is not finite (a non-finite entry, or finite entries
+    whose squares overflow) are the entries scanned.
+    """
+    if not math.isfinite(state.tau):
+        return False
+    with np.errstate(over="ignore"):
+        yy = state.y @ state.y
+    if math.isfinite(state.dx_norm) and math.isfinite(yy):
+        return True
+    return bool(np.isfinite(state.x).all() and np.isfinite(state.y).all())
 
 
 def _resolve_k_norm(problem, config):
@@ -627,6 +661,9 @@ def run_solver(
     state = init_state(problem, config, x0, y0)
     trace = IterationTrace()
     scheme = SCHEMES[config.algorithm]
+    if isinstance(problem.h, ZeroSmooth):
+        # grad h is identically 0: no scheme needs to call or add it
+        scheme = dataclasses.replace(scheme, smooth=False)
     step = scheme.step
     x_true = problem.x_true
     x_true_norm = None if x_true is None else _norm(x_true)
@@ -639,13 +676,9 @@ def run_solver(
     stop_reason = "budget"
     start = time.perf_counter()
     for n in range(1, config.max_iters + 1):
-        step(state, problem, config, scheme)
         state.n = n
-        if not (
-            np.isfinite(state.x).all()
-            and np.isfinite(state.y).all()
-            and math.isfinite(state.tau)
-        ):
+        step(state, problem, config, scheme)
+        if not _finite_iterates(state):
             raise NumericAbort(config.algorithm, n)
         state.n_avg += 1
         state.x_bar += (state.x - state.x_bar) / state.n_avg

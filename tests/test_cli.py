@@ -149,6 +149,20 @@ def test_run_continues_after_numeric_abort(tmp_path, capsys):
         assert (out / f"{solver}_summary.json").exists()
 
 
+@pytest.mark.parametrize("k_norm, code, message", [
+    ("inf", 2, "error: K_norm must be finite and >= 0 (got inf)"),
+    ("1e300", 3, "error: aegrpda: stepsize reached 0 at iteration 2"),
+], ids=["inf", "1e300"])
+def test_run_huge_or_infinite_k_norm_is_one_line_error(tmp_path, capsys, k_norm, code, message):
+    manifest = _generate_lasso(tmp_path)
+    capsys.readouterr()
+    assert main([
+        "run", "--manifest", str(manifest), "--solvers", "aegrpda",
+        "--k-norm", k_norm, "--out", str(tmp_path / "runs"),
+    ]) == code
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_run_config_file_with_flag_override(tmp_path):
     manifest = _generate_lasso(tmp_path)
     cfg_path = tmp_path / "cfg.json"

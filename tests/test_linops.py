@@ -199,6 +199,53 @@ def test_discrete_gradient_boundary_rows_zero(rng):
     assert np.all(gv[-1, :] == 0.0)
 
 
+def _gradient_zero_filled(rows, cols, x):
+    """DiscreteGradient2D.matvec written with zero-filled channels."""
+    u = x.reshape(rows, cols)
+    gh = np.zeros_like(u)
+    gv = np.zeros_like(u)
+    gh[:, :-1] = u[:, 1:] - u[:, :-1]
+    gv[:-1, :] = u[1:, :] - u[:-1, :]
+    return np.concatenate([gh.ravel(), gv.ravel()])
+
+
+def _divergence_zero_filled(rows, cols, y):
+    """DiscreteGradient2D.rmatvec accumulated into a zero-filled image."""
+    p = rows * cols
+    yh = y[:p].reshape(rows, cols)
+    yv = y[p:].reshape(rows, cols)
+    out = np.zeros((rows, cols))
+    out[:, :-1] -= yh[:, :-1]
+    out[:, 1:] += yh[:, :-1]
+    out[:-1, :] -= yv[:-1, :]
+    out[1:, :] += yv[:-1, :]
+    return out.ravel()
+
+
+def _with_signed_zeros(rng, size):
+    v = rng.standard_normal(size)
+    v[rng.random(size) < 0.2] = 0.0
+    v[rng.random(size) < 0.2] = -0.0
+    return v
+
+
+def test_discrete_gradient_bytes_match_zero_filled_reference():
+    # signed zeros make 0 - a and -a (or b - a) distinguishable
+    rng = np.random.default_rng(11)
+    for rows in range(1, 13):
+        for cols in range(1, 13):
+            G = DiscreteGradient2D(rows, cols)
+            p = rows * cols
+            for _ in range(3):
+                x = _with_signed_zeros(rng, p)
+                y = _with_signed_zeros(rng, 2 * p)
+                assert G.matvec(x).tobytes() == _gradient_zero_filled(rows, cols, x).tobytes()
+                assert G.rmatvec(y).tobytes() == _divergence_zero_filled(rows, cols, y).tobytes()
+            neg = np.full(2 * p, -0.0)
+            assert G.rmatvec(neg).tobytes() == _divergence_zero_filled(rows, cols, neg).tobytes()
+            assert G.matvec(-neg[:p]).tobytes() == _gradient_zero_filled(rows, cols, -neg[:p]).tobytes()
+
+
 def test_discrete_gradient_norm_bound():
     for rows, cols in [(8, 8), (16, 16), (64, 64), (3, 9)]:
         est = estimate_operator_norm(DiscreteGradient2D(rows, cols), seed=0)

@@ -17,6 +17,8 @@ from goldsplit.prox import (
     SquaredL2Prox,
     SumSmooth,
     ZeroProx,
+    _pixel_norms,
+    _SQRT_NORM_MIN,
     moreau_conjugate_prox,
     prox_group_l21,
     prox_l1,
@@ -111,6 +113,42 @@ def test_prox_group_l21_propagates_nan():
     assert np.isnan(out[0])
     np.testing.assert_array_equal(out, _group_l21_hypot(v, 1.0, 0.1, 2))
     assert np.isnan(GroupL21Prox(1.0, 2).value(v))
+
+
+def _group_l21_masked(v, t, lam, n_pixels):
+    """prox_group_l21 with the scale computed only where the norm exceeds the threshold."""
+    u = v.reshape(2, n_pixels)
+    threshold = t * lam
+    norms = _pixel_norms(u, fast=threshold > _SQRT_NORM_MIN)
+    keep = norms > threshold
+    scale = np.divide(threshold, norms, out=np.zeros_like(norms), where=keep)
+    np.subtract(1.0, scale, out=scale, where=keep)
+    return (u * scale).ravel()
+
+
+_SPECIAL_ENTRIES = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -1e-310])
+
+
+def _fuzz_field(rng, n_pixels):
+    size = 2 * n_pixels
+    v = rng.standard_normal(size) * 10.0 ** rng.choice([0.0, 160.0, -160.0, 150.0], size)
+    special = rng.random(size) < 0.3
+    v[special] = rng.choice(_SPECIAL_ENTRIES, special.sum())
+    return v
+
+
+def test_prox_group_l21_bytes_match_masked_reference():
+    rng = np.random.default_rng(17)
+    thresholds = (0.0, 1e-200, 1e-160, 0.5, 1e10, np.inf)
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        v = _fuzz_field(rng, n)
+        for threshold in thresholds:
+            for t, lam in ((threshold, 1.0), (1.0, threshold), (0.0, 2.0)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = prox_group_l21(v, t, lam, n)
+                    ref = _group_l21_masked(v, t, lam, n)
+                assert out.tobytes() == ref.tobytes(), (v, t, lam)
 
 
 def test_prox_group_l21_shape_mismatch():

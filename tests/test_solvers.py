@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from goldsplit import linops
+from goldsplit import linops, solvers
 from goldsplit.errors import ConfigError, NumericAbort, StepsizeWarning
 from goldsplit.linops import (
     DenseOperator,
@@ -726,3 +726,162 @@ def test_grpda_warns_above_golden_and_on_smooth_term(rng):
     cfg_h = SolverConfig("grpda", psi=1.5, tau=0.01, sigma=0.01, K_norm=5.0,
                          max_iters=1, trace_stride=1)
     assert any("smooth term" in m for m in _warned(smooth_problem, cfg_h))
+
+
+# ---------------------------------------------------------------------------
+# huge and non-finite operator norms
+
+
+def test_non_finite_k_norm_is_config_error():
+    for alg in ALGORITHM_NAMES:
+        for k in (math.inf, -math.inf):
+            cfg = SolverConfig(alg, tau=0.1, sigma=0.1, K_norm=k)
+            assert any("K_norm" in v for v in config_violations(cfg))
+    problem = gen_lasso(50, 100, 5, seed=1)
+    with pytest.raises(ConfigError, match="K_norm"):
+        run_solver(problem, SolverConfig("aegrpda", K_norm=math.inf))
+
+
+@pytest.mark.parametrize("k_norm", [1e200, 1e300])
+def test_huge_k_norm_aborts_when_the_stepsize_reaches_zero(k_norm):
+    # the curvature candidate 1/(9 beta psi ||K||^2 tau) is 0 in float64
+    problem = gen_lasso(50, 100, 5, seed=1)
+    with pytest.raises(NumericAbort, match="stepsize reached 0") as exc:
+        run_solver(problem, SolverConfig("aegrpda", K_norm=k_norm))
+    assert exc.value.solver == "aegrpda"
+    assert exc.value.iteration == 2  # the first step from x0 = 0 is negligible
+
+
+@pytest.mark.parametrize("alg", ["pdhg", "egrpda"])
+def test_huge_k_norm_fires_region_warning(alg):
+    problem = gen_lasso(50, 100, 5, seed=1)
+    cfg = SolverConfig(alg, tau=0.01, sigma=0.01, K_norm=1e200, max_iters=3)
+    msgs = _warned(problem, cfg)
+    assert any(alg in m and "inf" in m for m in msgs)
+
+
+# ---------------------------------------------------------------------------
+# finiteness checks
+
+
+def _scheme_configs(problem):
+    k = float(np.linalg.svd(problem.K.matrix, compute_uv=False)[0])
+    step = 0.9 / k
+    return [
+        SolverConfig("pgrpda", tau0=5.0, beta=0.2),
+        SolverConfig("aegrpda", tau0=5.0, beta=0.2),
+        SolverConfig("egrpda", tau=step, sigma=step, K_norm=k),
+        SolverConfig("condat_vu", tau=step, sigma=step, K_norm=k),
+        SolverConfig("pdhg", tau=step, sigma=step, K_norm=k),
+        SolverConfig("grpda", tau=step, sigma=step, K_norm=k),
+        SolverConfig("agraal", tau0=0.01),
+    ]
+
+
+class _NanAtCall:
+    """Wraps a prox oracle; its prox puts NaN into one entry at call ``k``."""
+
+    def __init__(self, inner, k):
+        self.inner = inner
+        self.k = k
+        self.calls = 0
+
+    def value(self, v):
+        return self.inner.value(v)
+
+    def prox(self, v, t):
+        self.calls += 1
+        out = self.inner.prox(v, t)
+        if self.calls == self.k:
+            out = out.copy()
+            out[3] = np.nan
+        return out
+
+
+def test_nan_in_dual_iterate_aborts_at_its_iteration():
+    # g.prox runs once per iteration and only feeds y, so x stays finite
+    base = gen_lasso(20, 40, 3, scheme="gaussian", seed=2)
+    assert len(_scheme_configs(base)) == len(ALGORITHM_NAMES)
+    for cfg in _scheme_configs(base):
+        for k in (1, 7):
+            problem = dataclasses.replace(base, g=_NanAtCall(base.g, k))
+            cfg = dataclasses.replace(cfg, max_iters=20, trace_stride=1)
+            with pytest.raises(NumericAbort) as exc:
+                run_solver(problem, cfg, y0=-base.meta["b"])
+            assert (exc.value.solver, exc.value.iteration) == (cfg.algorithm, k)
+
+
+def test_finite_check_scans_entries_when_square_sums_overflow():
+    x = np.full(4, 1e200)
+    state = solvers.SolverState(
+        x=x, z=x, y=-x, w=x, x_prev=x, grad_x=x, Kx=x, tau=1.0, tau_prev=1.0,
+        sigma=1.0, theta=1.0, theta_prev=1.0, dx_norm=math.inf,
+    )
+    assert solvers._finite_iterates(state)
+    for name in ("x", "y"):
+        bad = getattr(state, name).copy()
+        bad[2] = np.nan
+        assert not solvers._finite_iterates(dataclasses.replace(state, **{name: bad}))
+    assert not solvers._finite_iterates(dataclasses.replace(state, tau=math.nan))
+
+
+def test_overflowing_step_norm_does_not_abort():
+    # from x0 = 1e200 the l1 prox moves x to 0: ||dx|| overflows, x stays finite
+    problem = ProblemInstance(
+        f=L1Prox(1.0), g=L1Prox(1.0), K=DenseOperator(np.eye(2)), h=ZeroSmooth(),
+    )
+    cfg = SolverConfig("pdhg", tau=2e200, sigma=1e-201, K_norm=1.0, max_iters=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        state, trace, summary = run_solver(problem, cfg, x0=np.full(2, 1e200))
+    assert summary.stop_reason == "budget" and summary.iterations == 3
+    assert trace.column("dx")[0] == math.inf
+    assert np.all(state.x == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# h = ZeroSmooth
+
+
+class _CountingZero(ZeroSmooth):
+    def __init__(self):
+        self.grad_calls = 0
+
+    def grad(self, x):
+        self.grad_calls += 1
+        return super().grad(x)
+
+
+class _DuckZero:
+    """A zero smooth term that is not a ZeroSmooth."""
+
+    def value(self, x):
+        return 0.0
+
+    def grad(self, x):
+        return np.zeros_like(x)
+
+    def lipschitz(self):
+        return 0.0
+
+
+def test_zero_smooth_makes_no_gradient_calls_and_keeps_iterates():
+    base = gen_lasso(20, 40, 3, scheme="gaussian", seed=2)
+    for cfg in _scheme_configs(base):
+        cfg = dataclasses.replace(cfg, max_iters=60, trace_stride=1)
+        counting = _CountingZero()
+        calls = []
+        runs = []
+        for h in (counting, _DuckZero()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StepsizeWarning)
+                runs.append(run_solver(
+                    dataclasses.replace(base, h=h), cfg, y0=-base.meta["b"],
+                    record_time=False, callback=lambda st: calls.append(counting.grad_calls),
+                ))
+        assert calls[:60] == [1] * 60, cfg.algorithm  # the one call is init_state's
+        (state, trace, _), (duck_state, duck_trace, _) = runs
+        for name in ("x", "z", "y", "w", "x_bar", "w_bar"):
+            assert getattr(state, name).tobytes() == getattr(duck_state, name).tobytes()
+        for name in ("F", "tau", "sigma", "dx", "xz", "cviol"):
+            assert trace.column(name).tobytes() == duck_trace.column(name).tobytes()

@@ -1,0 +1,130 @@
+"""Byte-identity fingerprint of every solver run through a checkout's CLI.
+
+    python tools/zero_time_hashes.py CHECKOUT [--max-iters N]
+
+CHECKOUT is the root of a goldsplit checkout (the directory holding
+``src/goldsplit``). The script generates each instance with that
+checkout's ``goldsplit generate``, then runs each solver alone with
+``goldsplit run --zero-time`` on every setting below, and prints one line
+per run:
+
+    <setting> <solver> exit=<code> csv=<sha256|-> summary=<sha256|-> stderr=<text>
+
+Run it on two checkouts and diff the outputs: a refactor or a speed-up that
+keeps every iterate prints the same lines. Warnings are printed without
+their source location, so moving a line of code does not change them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOLVERS = ("pgrpda", "aegrpda", "egrpda", "condat_vu", "pdhg", "grpda", "agraal")
+
+# Runs the checkout's CLI with location-free warnings.
+_CLI = (
+    "import sys, warnings\n"
+    "warnings.formatwarning = lambda m, c, *a, **k: f'{c.__name__}: {m}\\n'\n"
+    "from goldsplit.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+INSTANCES = {
+    "lasso": ["--family", "lasso", "--m", "50", "--n", "100", "--s", "5", "--seed", "1"],
+    "fused_lasso": ["--family", "fused_lasso", "--m", "40", "--n", "80", "--seed", "2"],
+    "graphnet": ["--family", "graphnet", "--n1", "8", "--n2", "8", "--m", "40", "--seed", "3"],
+    "strongly_convex": ["--family", "strongly_convex", "--m", "40", "--n", "60", "--seed", "4"],
+    "inpainting_24x20": ["--family", "inpainting", "--rows", "24", "--cols", "20", "--seed", "5"],
+    "inpainting_16x8": ["--family", "inpainting", "--rows", "16", "--cols", "8", "--seed", "6"],
+}
+
+_STEPS = ["--tau", "0.5/K", "--sigma", "0.5/K"]
+
+# setting name -> (instance name or "libsvm", run flags)
+SETTINGS = {
+    "lasso-y0-zero": ("lasso", ["--y0", "zero", *_STEPS]),
+    "lasso-y0-neg-b": ("lasso", ["--y0", "neg-b", "--tau0", "5", "--beta", "0.2", *_STEPS]),
+    "lasso-extended": ("lasso", ["--y0", "neg-b", "--extended", "--psi", "1.8", "--mu", "0.7",
+                                 "--mu-prime", "0.2", *_STEPS]),
+    "lasso-stop-1e-6-neg-b": ("lasso", ["--y0", "neg-b", "--stop-tol", "1e-6", *_STEPS]),
+    "lasso-stop-1e-4-neg-b": ("lasso", ["--y0", "neg-b", "--stop-tol", "1e-4", *_STEPS]),
+    "lasso-stop-1e-6-zero": ("lasso", ["--y0", "zero", "--stop-tol", "1e-6", *_STEPS]),
+    "fused-lasso": ("fused_lasso", ["--tau", "0.4/K", "--sigma", "0.4/K"]),
+    "graphnet": ("graphnet", ["--tau", "0.4/K", "--sigma", "0.4/K"]),
+    "strongly-convex": ("strongly_convex", ["--tau", "0.1/K", "--sigma", "0.1/K"]),
+    "strongly-convex-diverging": ("strongly_convex", ["--tau", "5/K", "--sigma", "5/K"]),
+    "inpainting-24x20-damaged": ("inpainting_24x20", ["--x0", "damaged", *_STEPS]),
+    "inpainting-16x8": ("inpainting_16x8", [*_STEPS]),
+    "logistic-1": ("libsvm", ["--setting", "1", *_STEPS]),
+    "logistic-2": ("libsvm", ["--setting", "2", *_STEPS]),
+}
+
+
+def write_libsvm_file(path, m=60, n=30, density=0.3, seed=7):
+    """A seeded sparse classification problem in LIBSVM text."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(n)
+    lines = []
+    for _ in range(m):
+        cols = np.flatnonzero(rng.random(n) < density)
+        vals = rng.standard_normal(cols.size)
+        label = 1 if vals @ w[cols] + 0.1 * rng.standard_normal() > 0 else -1
+        feats = " ".join(f"{c + 1}:{v:.6f}" for c, v in zip(cols, vals))
+        lines.append(f"{label} {feats}".rstrip())
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
+
+
+def _cli(checkout, args):
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", _CLI, *args], env=env, capture_output=True, text=True
+    )
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("checkout", help="root of the goldsplit checkout to run")
+    parser.add_argument("--max-iters", type=int, default=400)
+    args = parser.parse_args(argv)
+    if not (Path(args.checkout) / "src" / "goldsplit").is_dir():
+        parser.error(f"{args.checkout} holds no src/goldsplit")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sources = {"libsvm": ["--libsvm", str(tmp / "data.libsvm")]}
+        write_libsvm_file(tmp / "data.libsvm")
+        for name, gen_args in INSTANCES.items():
+            proc = _cli(args.checkout, ["generate", *gen_args, "--out", str(tmp / name)])
+            if proc.returncode != 0:
+                sys.exit(f"generate {name} failed: {proc.stderr.strip()}")
+            sources[name] = ["--manifest", str(tmp / name / "manifest.json")]
+        for setting, (source, flags) in SETTINGS.items():
+            for solver in SOLVERS:
+                out = tmp / "runs" / setting / solver
+                proc = _cli(args.checkout, [
+                    "run", *sources[source], "--solvers", solver, *flags,
+                    "--max-iters", str(args.max_iters), "--trace-stride", "5",
+                    "--zero-time", "--out", str(out),
+                ])
+                stderr = proc.stderr.replace(str(tmp), "<tmp>").strip()
+                print(f"{setting} {solver} exit={proc.returncode} "
+                      f"csv={_sha(out / f'{solver}.csv')} "
+                      f"summary={_sha(out / f'{solver}_summary.json')} "
+                      f"stderr={json.dumps(stderr)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()
