@@ -1,6 +1,7 @@
 """Command-line harness: ``goldsplit generate|run|verify``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
+unreadable or malformed input files, rejected parameters), 3 numeric
 abort (``run`` still runs the solvers listed after the one that aborted).
 All numeric parameters travel through flags; ``--config FILE``
 supplies the same fields as JSON, with explicit flags winning on
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .errors import GoldsplitError, InsufficientDataError, NumericAbort
+from .errors import GoldsplitError, InsufficientDataError, NumericAbort, ParameterError
 from .linops import operator_norm
 from .metrics import linear_rate_fit, loglog_slope
 from .problems import (
@@ -163,9 +164,12 @@ def _parse_step(text, k_norm_fn):
     if text is None:
         return None
     text = str(text).strip()
-    if text.endswith("/K"):
-        return float(text[:-2]) / k_norm_fn()
-    return float(text)
+    per_k = text.endswith("/K")
+    try:
+        value = float(text[:-2] if per_k else text)
+    except ValueError:
+        raise ParameterError(f"bad stepsize {text!r}: expected NUMBER or NUMBER/K") from None
+    return value / k_norm_fn() if per_k else value
 
 
 _CONFIG_FIELDS = (
@@ -222,7 +226,12 @@ def cmd_run(args):
     problem = _load_problem(args)
     file_cfg = {}
     if args.config:
-        file_cfg = json.loads(Path(args.config).read_text())
+        try:
+            file_cfg = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise GoldsplitError(f"--config {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(file_cfg, dict):
+            raise GoldsplitError(f"--config {args.config} must hold a JSON object")
 
     k_norm_cache = {}
 
@@ -350,7 +359,8 @@ def main(argv=None):
             return cmd_run(args)
         if args.command == "verify":
             return cmd_verify(args)
-    except GoldsplitError as exc:
+    except (GoldsplitError, OSError) as exc:
+        # bad flags and unreadable or malformed inputs end in one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     parser.error("no command")

@@ -13,6 +13,7 @@ sidecars (float64, row-major; CSR index payloads are int64).
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -196,8 +197,8 @@ def parse_libsvm(path, n_features=None):
     positive feature indices. The column count is the largest index seen
     unless ``n_features`` overrides it. Labels are remapped to {-1, +1}:
     values already in that set pass through, otherwise the smaller of two
-    distinct values maps to -1. Malformed lines raise ParseError with
-    their line number.
+    distinct values maps to -1. Malformed lines, and labels or feature
+    values that are NaN or infinite, raise ParseError with their line number.
     """
     rows, cols, vals, raw_labels = [], [], [], []
     max_col = 0
@@ -210,6 +211,8 @@ def parse_libsvm(path, n_features=None):
                 label = float(tokens[0])
             except ValueError:
                 raise ParseError(f"bad label {tokens[0]!r}", lineno) from None
+            if not math.isfinite(label):
+                raise ParseError(f"non-finite label {tokens[0]!r}", lineno)
             row = len(raw_labels)
             raw_labels.append(label)
             for tok in tokens[1:]:
@@ -221,6 +224,8 @@ def parse_libsvm(path, n_features=None):
                     value = float(val)
                 except ValueError:
                     raise ParseError(f"bad feature entry {tok!r}", lineno) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite feature value {tok!r}", lineno)
                 if col < 1:
                     raise ParseError(f"indices are 1-based, got {col}", lineno)
                 max_col = max(max_col, col)
@@ -506,6 +511,11 @@ def _write_payload(directory, stem, array):
 def _read_payload(directory, entry):
     dtype = "<i8" if entry["dtype"] == "int64" else "<f8"
     arr = np.fromfile(directory / entry["file"], dtype=dtype)
+    if arr.size != math.prod(entry["shape"]):
+        raise DataError(
+            f"payload {entry['file']} holds {arr.size} values; "
+            f"its recorded shape {entry['shape']} needs {math.prod(entry['shape'])}"
+        )
     return arr.reshape(entry["shape"]).astype(
         np.int64 if entry["dtype"] == "int64" else np.float64
     )
@@ -563,8 +573,11 @@ def load_instance(manifest_path):
     """Rebuild a ProblemInstance from a manifest and its payload sidecars."""
     manifest_path = Path(manifest_path)
     directory = manifest_path.parent
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("format") != "goldsplit-instance-v1":
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != "goldsplit-instance-v1":
         raise DataError(f"unrecognized manifest format in {manifest_path}")
     family = manifest["family"]
     params = manifest["params"]

@@ -108,6 +108,11 @@ def pgrpda_mu_bound(psi):
     return psi / 2.0 + psi * (1.0 + psi - psi**2) / (2.0 * (psi + 1.0))
 
 
+def _finite_positive(value):
+    """The rejecting form of 0 < value < inf: False for NaN and +-inf."""
+    return math.isfinite(value) and value > 0
+
+
 def _check_golden_psi(config):
     if not (1.0 < config.psi <= GOLDEN + 1e-12):
         yield f"{config.algorithm}: psi must lie in (1, {GOLDEN:.6f}] (got {config.psi})"
@@ -115,8 +120,8 @@ def _check_golden_psi(config):
 
 def _check_pgrpda(config):
     mu, mup, psi = config.mu, config.mu_prime, config.psi
-    if not (mup > 0):
-        yield f"pgrpda: mu_prime must be positive (got {mup})"
+    if not _finite_positive(mup):
+        yield f"pgrpda: mu_prime must be finite and positive (got {mup})"
     if config.extended:
         if not (1.0 < psi < 1.0 + math.sqrt(3.0)):
             yield f"pgrpda extended: psi must lie in (1, {1 + math.sqrt(3):.6f}) (got {psi})"
@@ -146,16 +151,19 @@ def _check_growth(config):
             f"{alg}: rho must lie in (0, 1/psi + 1/psi^2] = (0, {rho_cap:.6f}] "
             f"(got {config.rho})"
         )
-    if not (config.theta0 > 0):
-        yield f"{alg}: theta0 must be positive (got {config.theta0})"
-    if config.tau0 > 0 and not (config.tau_max > config.tau0):
+    if not _finite_positive(config.theta0):
+        yield f"{alg}: theta0 must be finite and positive (got {config.theta0})"
+    if not math.isfinite(config.tau_max):
+        yield f"{alg}: tau_max must be finite (got {config.tau_max})"
+    elif config.tau0 > 0 and not (config.tau_max > config.tau0):
         yield f"{alg}: tau_max must exceed tau0 (got {config.tau_max} <= {config.tau0})"
 
 
 def config_violations(config):
     """Every violated parameter constraint of the selected algorithm.
 
-    Bounds are written in their rejecting form, so NaN violates each one.
+    Bounds are written in their rejecting form, so NaN violates each one,
+    and every float field must also be finite.
     """
     alg = config.algorithm
     scheme = SCHEMES.get(alg)
@@ -166,20 +174,20 @@ def config_violations(config):
         v.append(f"max_iters must be >= 0 (got {config.max_iters})")
     if not (config.trace_stride >= 1):
         v.append(f"trace_stride must be >= 1 (got {config.trace_stride})")
-    if not (config.stop_tol >= 0):
-        v.append(f"stop_tol must be >= 0 (got {config.stop_tol})")
+    if not (math.isfinite(config.stop_tol) and config.stop_tol >= 0):
+        v.append(f"stop_tol must be finite and >= 0 (got {config.stop_tol})")
     if config.K_norm is not None and not (0 <= config.K_norm < math.inf):
         v.append(f"K_norm must be finite and >= 0 (got {config.K_norm})")
-    if not (config.beta > 0):
-        v.append(f"beta must be positive (got {config.beta})")
+    if not _finite_positive(config.beta):
+        v.append(f"beta must be finite and positive (got {config.beta})")
 
     if scheme.fixed_step:
-        if config.tau is None or not (config.tau > 0):
-            v.append(f"{alg} needs a fixed tau > 0 (got {config.tau})")
-        if config.sigma is None or not (config.sigma > 0):
-            v.append(f"{alg} needs a fixed sigma > 0 (got {config.sigma})")
-    elif not (config.tau0 > 0):
-        v.append(f"tau0 must be positive (got {config.tau0})")
+        if config.tau is None or not _finite_positive(config.tau):
+            v.append(f"{alg} needs a finite fixed tau > 0 (got {config.tau})")
+        if config.sigma is None or not _finite_positive(config.sigma):
+            v.append(f"{alg} needs a finite fixed sigma > 0 (got {config.sigma})")
+    elif not _finite_positive(config.tau0):
+        v.append(f"tau0 must be finite and positive (got {config.tau0})")
 
     if scheme.check is not None:
         v.extend(scheme.check(config))
@@ -280,8 +288,10 @@ class SolverState:
     gradient of the next primal step; when the run leaves h out it keeps
     the zero gradient of the start), and ``Kx`` caches K x. For the
     non-golden schemes ``z`` holds the previous iterate so that
-    ||x - z|| is uniformly the early-exit quantity. The aGRAAL fields
-    (y_prev, y_bar, Fx_prev, Fy_prev) stay None elsewhere.
+    ||x - z|| is uniformly the early-exit quantity. ``x_sum`` and
+    ``w_sum`` add up the iterates of the ``n_avg`` finished iterations;
+    the ergodic averages ``x_bar`` and ``w_bar`` divide them when read.
+    The aGRAAL fields (y_prev, y_bar, Fx_prev, Fy_prev) stay None elsewhere.
     """
 
     x: np.ndarray
@@ -298,8 +308,8 @@ class SolverState:
     theta_prev: float
     n: int = 0
     n_avg: int = 0
-    x_bar: np.ndarray = None
-    w_bar: np.ndarray = None
+    x_sum: np.ndarray = None
+    w_sum: np.ndarray = None
     elapsed: float = 0.0
     dx_norm: float = 0.0
     L_local: float | None = None
@@ -308,9 +318,19 @@ class SolverState:
     Fx_prev: np.ndarray = None
     Fy_prev: np.ndarray = None
 
+    @property
+    def x_bar(self):
+        """Ergodic average of x; zeros before the first iteration."""
+        return self.x_sum / max(self.n_avg, 1)
+
+    @property
+    def w_bar(self):
+        """Ergodic average of w; zeros before the first iteration."""
+        return self.w_sum / max(self.n_avg, 1)
+
 
 def init_state(problem, config, x0=None, y0=None):
-    """Fresh state at (x0, y0) with z0 = x0 and empty ergodic averages."""
+    """Fresh state at (x0, y0) with z0 = x0 and empty ergodic sums."""
     n = problem.K.shape.domain_dim
     m = problem.K.shape.codomain_dim
     x0 = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
@@ -337,8 +357,8 @@ def init_state(problem, config, x0=None, y0=None):
         sigma=sigma,
         theta=config.theta0,
         theta_prev=config.theta0,
-        x_bar=np.zeros(n),
-        w_bar=np.zeros(m),
+        x_sum=np.zeros(n),
+        w_sum=np.zeros(m),
     )
     if scheme.start is not None:
         scheme.start(state, problem, config)
@@ -605,15 +625,15 @@ def _finite_iterates(state):
 
     Every step sets ``dx_norm`` from x_new - x, and a non-finite entry of
     x_new makes that difference non-finite whatever x holds, so a finite
-    ||dx|| proves the new x finite; a finite y @ y proves y finite. Only
-    when a square sum is not finite (a non-finite entry, or finite entries
-    whose squares overflow) are the entries scanned.
+    ||dx|| proves the new x finite; a finite square sum of y proves y
+    finite. Only when a square sum is not finite (a non-finite entry, or
+    finite entries whose squares overflow) are the entries scanned.
+    ``np.vdot`` does not check the FP flags, so an overflowing sum returns
+    inf without a RuntimeWarning (``@`` would warn).
     """
     if not math.isfinite(state.tau):
         return False
-    with np.errstate(over="ignore"):
-        yy = state.y @ state.y
-    if math.isfinite(state.dx_norm) and math.isfinite(yy):
+    if math.isfinite(state.dx_norm) and math.isfinite(np.vdot(state.y, state.y)):
         return True
     return bool(np.isfinite(state.x).all() and np.isfinite(state.y).all())
 
@@ -681,8 +701,8 @@ def run_solver(
         if not _finite_iterates(state):
             raise NumericAbort(config.algorithm, n)
         state.n_avg += 1
-        state.x_bar += (state.x - state.x_bar) / state.n_avg
-        state.w_bar += (state.w - state.w_bar) / state.n_avg
+        state.x_sum += state.x
+        state.w_sum += state.w
         if record_time:
             state.elapsed = time.perf_counter() - start
         xz = _norm(state.x - state.z)

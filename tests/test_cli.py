@@ -163,6 +163,46 @@ def test_run_huge_or_infinite_k_norm_is_one_line_error(tmp_path, capsys, k_norm,
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+def _truncate_payload(manifest):
+    payload = manifest.parent / "K.bin"
+    payload.write_bytes(payload.read_bytes()[:-8])
+
+
+# each case: run flags (after --manifest), a mutation of the instance, stderr text
+_BAD_INPUTS = {
+    "malformed-config": (["--config", "{dir}/cfg.json"],
+                         lambda m: (m.parent / "cfg.json").write_text('{"defaults": {'),
+                         "is not valid JSON"),
+    "non-object-config": (["--config", "{dir}/cfg.json"],
+                          lambda m: (m.parent / "cfg.json").write_text("[1, 2]"),
+                          "must hold a JSON object"),
+    "bad-stepsize": (["--tau", "abc", "--sigma", "0.1"], None, "bad stepsize 'abc'"),
+    "bad-stepsize-per-k": (["--tau", "x/K", "--sigma", "0.1"], None, "bad stepsize 'x/K'"),
+    "missing-manifest": ([], lambda m: m.unlink(), "No such file or directory"),
+    "malformed-manifest": ([], lambda m: m.write_text("{"), "is not valid JSON"),
+    "truncated-payload": ([], _truncate_payload, "payload K.bin holds 799 values"),
+    "infinite-tau": (["--tau", "inf", "--sigma", "0.1"], None,
+                     "pdhg needs a finite fixed tau > 0 (got inf)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_is_one_line_usage_error(tmp_path, capsys, case):
+    flags, mutate, message = _BAD_INPUTS[case]
+    manifest = _generate_lasso(tmp_path)
+    if mutate is not None:
+        mutate(manifest)
+    capsys.readouterr()
+    code = main([
+        "run", "--manifest", str(manifest), "--solvers", "pdhg",
+        *[f.format(dir=manifest.parent) for f in flags],
+        "--max-iters", "5", "--out", str(tmp_path / "runs"),
+    ])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
 def test_run_config_file_with_flag_override(tmp_path):
     manifest = _generate_lasso(tmp_path)
     cfg_path = tmp_path / "cfg.json"

@@ -190,6 +190,18 @@ def test_parse_libsvm_errors_carry_line_numbers(tmp_path):
         parse_libsvm(path)
 
 
+@pytest.mark.parametrize("line", [
+    "+1 1:1 2:nan", "+1 2:inf", "-1 1:-inf", "nan 1:1", "inf 1:1",
+])
+def test_parse_libsvm_rejects_non_finite_values(tmp_path, line):
+    path = tmp_path / "nonfinite.txt"
+    path.write_text(f"+1 1:0.5\n-1 2:1\n{line}\n")
+    with pytest.raises(ParseError, match="non-finite") as exc:
+        parse_libsvm(path)
+    assert exc.value.line_number == 3
+    assert str(exc.value).startswith("line 3: ")
+
+
 def test_libsvm_round_trip(tmp_path, rng):
     triplets = [
         (int(r), int(c), float(np.round(v, 6)))

@@ -138,6 +138,19 @@ def test_nan_parameter_is_rejected(name, alg):
     assert any("nan" in v for v in exc.value.violations)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize(
+    "name,alg",
+    [(name, alg) for name, algs in _FLOAT_FIELD_READERS.items() for alg in algs],
+)
+def test_infinite_parameter_is_rejected(name, alg, value):
+    # the NaN table above covers every float field, so it covers +-inf too
+    steps = {"tau": 0.1, "sigma": 0.1} if alg in _FIXED else {}
+    with pytest.raises(ConfigError) as exc:
+        validate_config(SolverConfig(alg, **{**steps, name: value}))
+    assert any("inf" in v for v in exc.value.violations)
+
+
 # ---------------------------------------------------------------------------
 # stepsize updates
 
@@ -515,6 +528,14 @@ def test_zero_budget_returns_initial_state():
     assert summary.iterations == 0
 
 
+def test_zero_budget_ergodic_averages_are_zeros():
+    problem, _ = _toy_problem()
+    state, _, _ = run_solver(problem, SolverConfig("pgrpda", max_iters=0), x0=_X0, y0=_Y0)
+    assert state.n_avg == 0
+    assert np.array_equal(state.x_bar, np.zeros_like(_X0))
+    assert np.array_equal(state.w_bar, np.zeros_like(_Y0))
+
+
 def test_incremental_mean_matches_batch_oracle():
     problem = gen_lasso(20, 40, 3, scheme="gaussian", seed=2)
     cfg = SolverConfig(
@@ -823,6 +844,22 @@ def test_finite_check_scans_entries_when_square_sums_overflow():
         bad[2] = np.nan
         assert not solvers._finite_iterates(dataclasses.replace(state, **{name: bad}))
     assert not solvers._finite_iterates(dataclasses.replace(state, tau=math.nan))
+
+
+def test_finite_check_emits_no_warning_on_overflow_or_nan():
+    # np.vdot ignores the FP flags; if it ever checks them this test fails
+    # rather than the run loop printing a RuntimeWarning per iteration
+    y = np.full(50, 1e200)
+    state = solvers.SolverState(
+        x=y, z=y, y=y, w=y, x_prev=y, grad_x=y, Kx=y, tau=1.0, tau_prev=1.0,
+        sigma=1.0, theta=1.0, theta_prev=1.0, dx_norm=1.0,
+    )
+    bad = y.copy()
+    bad[7] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solvers._finite_iterates(state)
+        assert not solvers._finite_iterates(dataclasses.replace(state, y=bad))
 
 
 def test_overflowing_step_norm_does_not_abort():

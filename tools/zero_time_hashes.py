@@ -8,7 +8,13 @@ checkout's ``goldsplit generate``, then runs each solver alone with
 ``goldsplit run --zero-time`` on every setting below, and prints one line
 per run:
 
-    <setting> <solver> exit=<code> csv=<sha256|-> summary=<sha256|-> stderr=<text>
+    <setting> <solver> exit=<code> csv=<sha256|-> summary=<sha256|-> cviol=<sha256|-> stderr=<text>
+
+``csv`` hashes every trace column except ``cviol``, ``summary`` hashes the
+summary JSON without its cviol-derived values (``final.cviol`` and the
+``cviol_loglog_slope`` fit), and ``cviol`` hashes those values. The
+constraint violation is the only output read from the ergodic averages, so
+a change that only re-rounds them differs in ``cviol`` alone.
 
 Run it on two checkouts and diff the outputs: a refactor or a speed-up that
 keeps every iterate prints the same lines. Warnings are printed without
@@ -83,8 +89,25 @@ def write_libsvm_file(path, m=60, n=30, density=0.3, seed=7):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _sha(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _hashes(csv_path, summary_path):
+    """(csv, summary, cviol) hashes of one run's outputs; "-" for a missing file."""
+    cviol = []
+    csv = summary = "-"
+    if csv_path.exists():
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+        col = rows[0].index("cviol")
+        cviol.append([row.pop(col) for row in rows])
+        csv = _sha("\n".join(",".join(row) for row in rows))
+    if summary_path.exists():
+        payload = json.loads(summary_path.read_text())
+        cviol.append([payload["final"].pop("cviol", None),
+                      payload["fits"].pop("cviol_loglog_slope", None)])
+        summary = _sha(json.dumps(payload, sort_keys=True))
+    return csv, summary, _sha(json.dumps(cviol)) if cviol else "-"
 
 
 def _cli(checkout, args):
@@ -120,10 +143,11 @@ def main(argv=None):
                     "--zero-time", "--out", str(out),
                 ])
                 stderr = proc.stderr.replace(str(tmp), "<tmp>").strip()
-                print(f"{setting} {solver} exit={proc.returncode} "
-                      f"csv={_sha(out / f'{solver}.csv')} "
-                      f"summary={_sha(out / f'{solver}_summary.json')} "
-                      f"stderr={json.dumps(stderr)}", flush=True)
+                csv, summary, cviol = _hashes(out / f"{solver}.csv",
+                                              out / f"{solver}_summary.json")
+                print(f"{setting} {solver} exit={proc.returncode} csv={csv} "
+                      f"summary={summary} cviol={cviol} stderr={json.dumps(stderr)}",
+                      flush=True)
 
 
 if __name__ == "__main__":
