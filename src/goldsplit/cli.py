@@ -25,6 +25,7 @@ from .errors import GoldsplitError, InsufficientDataError, NumericAbort, Paramet
 from .linops import operator_norm
 from .metrics import linear_rate_fit, loglog_slope
 from .problems import (
+    FAMILIES,
     GenSpec,
     build_logistic,
     generate_instance,
@@ -33,6 +34,7 @@ from .problems import (
     read_pgm,
     save_instance,
     update_manifest_f_star,
+    write_json,
     write_pgm,
 )
 from .solvers import ALGORITHM_NAMES, SolverConfig, run_solver, validate_config
@@ -42,23 +44,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_GEN_PARAMS = {
-    "lasso": ("m", "n", "s", "scheme", "q", "lam", "noise_sd"),
-    "fused_lasso": ("m", "n", "lam1", "lam2", "noise_sd"),
-    "graphnet": ("n1", "n2", "m", "alpha", "sparsity_fraction", "lam1", "lam2", "noise_sd"),
-    "inpainting": ("rows", "cols", "missing_fraction", "lam"),
-    "strongly_convex": ("m", "n", "ridge", "lam", "noise_sd"),
-}
-
-_GEN_REQUIRED = {
-    "lasso": ("m", "n", "s"),
-    "fused_lasso": ("m", "n"),
-    "graphnet": ("n1", "n2", "m"),
-    "inpainting": (),
-    "strongly_convex": ("m", "n"),
-}
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="goldsplit",
@@ -67,24 +52,14 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="generate a benchmark instance to disk")
-    gen.add_argument("--family", required=True, choices=sorted(_GEN_PARAMS))
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--s", type=int)
-    gen.add_argument("--n1", type=int)
-    gen.add_argument("--n2", type=int)
-    gen.add_argument("--rows", type=int)
-    gen.add_argument("--cols", type=int)
-    gen.add_argument("--scheme", choices=("gaussian", "correlated"))
-    gen.add_argument("--q", type=float)
-    gen.add_argument("--lam", type=float)
-    gen.add_argument("--lam1", type=float)
-    gen.add_argument("--lam2", type=float)
-    gen.add_argument("--alpha", type=float)
-    gen.add_argument("--sparsity-fraction", dest="sparsity_fraction", type=float)
-    gen.add_argument("--missing-fraction", dest="missing_fraction", type=float)
-    gen.add_argument("--noise-sd", dest="noise_sd", type=float)
-    gen.add_argument("--ridge", type=float)
+    gen.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    # one flag per parameter name; families that share a name share its type
+    kinds = {}
+    for family in FAMILIES.values():
+        kinds.update(family.params)
+    for key, kind in kinds.items():
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        gen.add_argument("--" + key.replace("_", "-"), dest=key, **typed)
     gen.add_argument("--image", help="PGM image for inpainting (default: synthetic blocks)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output directory for the manifest")
@@ -136,25 +111,17 @@ def _build_parser():
 
 
 def cmd_generate(args):
-    missing = [k for k in _GEN_REQUIRED[args.family] if getattr(args, k, None) is None]
+    family = FAMILIES[args.family]
+    missing = [k for k in family.required if getattr(args, k) is None]
     if missing:
         flags = ", ".join(f"--{k}" for k in missing)
         print(f"error: family {args.family} requires {flags}", file=sys.stderr)
         return EXIT_USAGE
-    params = {}
-    for key in _GEN_PARAMS[args.family]:
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    params = {k: getattr(args, k) for k in family.params if getattr(args, k) is not None}
     if args.family == "inpainting" and args.image:
         params["image"] = read_pgm(args.image)
     spec = GenSpec(family=args.family, params=params, seed=args.seed)
-    problem = generate_instance(spec)
-    if args.family == "inpainting":
-        spec.params.pop("image", None)
-        spec.params.setdefault("rows", problem.dims["rows"])
-        spec.params.setdefault("cols", problem.dims["cols"])
-    path = save_instance(args.out, problem, spec)
+    path = save_instance(args.out, generate_instance(spec), spec)
     print(path)
     return EXIT_OK
 
@@ -180,8 +147,11 @@ _CONFIG_FIELDS = (
 
 def _solver_config(name, args, file_cfg, k_norm_fn):
     merged = {}
-    merged.update(file_cfg.get("defaults", {}))
-    merged.update(file_cfg.get(name, {}))
+    for section in ("defaults", name):
+        values = file_cfg.get(section, {})
+        if not isinstance(values, dict):
+            raise GoldsplitError(f"--config section {section!r} must hold a JSON object")
+        merged.update(values)
     for key in _CONFIG_FIELDS:
         val = getattr(args, key, None)
         if val is not None:
@@ -320,9 +290,7 @@ def cmd_run(args):
             "f_star_provenance": summary.f_star_provenance,
             "config": dataclasses.asdict(cfg),
         }
-        with open(out / f"{cfg.algorithm}_summary.json", "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / f"{cfg.algorithm}_summary.json", payload)
         print(f"{cfg.algorithm}: {summary.iterations} iterations, "
               f"final F={summary.final.get('F')}")
     if args.manifest and f_star is not None and provenance and "reference run" in provenance:
@@ -343,9 +311,7 @@ def cmd_verify(args):
     print(f"{report['n_passed']}/{report['n_checks']} checks passed "
           f"({report['elapsed']:.1f}s)")
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.report, report)
     return EXIT_OK if report["all_passed"] else EXIT_VERIFY_FAILED
 
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,17 +53,6 @@ from .prox import (
     ZeroSmooth,
 )
 
-FAMILIES = (
-    "lasso",
-    "fused_lasso",
-    "logistic1",
-    "logistic2",
-    "graphnet",
-    "inpainting",
-    "strongly_convex",
-)
-
-
 @dataclass
 class ProblemInstance:
     """The quadruple (f, g, K, h) plus optional ground truth and metadata."""
@@ -79,6 +70,33 @@ class ProblemInstance:
     meta: dict = field(default_factory=dict)
 
 
+@dataclass(frozen=True)
+class Family:
+    """One generable benchmark family, as the library and the CLI see it.
+
+    ``generate(seed=..., **params)`` draws an instance. ``params`` maps each
+    generator parameter to its flag type (``int``, ``float`` or a tuple of
+    choices), and ``required`` names the ones without a default. ``dims``
+    and ``payloads`` name the dimensions and arrays that a manifest records.
+    ``build(meta, dims)`` returns the oracles ``(f, g, K, h)`` from the
+    scalars and arrays in ``meta``; the generator and the manifest loader
+    both finish through it.
+    """
+
+    generate: Callable
+    params: dict
+    required: tuple
+    dims: tuple
+    payloads: tuple
+    build: Callable
+
+
+def _instance(family, meta, dims, **fields):
+    """A ProblemInstance whose oracles FAMILIES[family].build makes from meta."""
+    f, g, K, h = FAMILIES[family].build(meta, dims)
+    return ProblemInstance(f=f, g=g, K=K, h=h, meta=meta, dims=dims, **fields)
+
+
 @dataclass
 class GenSpec:
     """Family selector plus family-specific generation parameters."""
@@ -86,6 +104,9 @@ class GenSpec:
     family: str
     params: dict = field(default_factory=dict)
     seed: int = 0
+
+
+_LASSO_SCHEMES = ("gaussian", "correlated")
 
 
 def gen_lasso(m, n, s, scheme="gaussian", q=0.5, lam=0.1, noise_sd=0.1, seed=0):
@@ -99,7 +120,7 @@ def gen_lasso(m, n, s, scheme="gaussian", q=0.5, lam=0.1, noise_sd=0.1, seed=0):
     """
     if s > n or s < 0:
         raise ParameterError(f"sparsity s={s} must lie in [0, n={n}]")
-    if scheme not in ("gaussian", "correlated"):
+    if scheme not in _LASSO_SCHEMES:
         raise ParameterError(f"unknown lasso scheme {scheme!r}")
     if scheme == "correlated" and not (0.0 < q < 1.0):
         raise ParameterError(f"correlated scheme needs q in (0, 1), got {q}")
@@ -118,16 +139,11 @@ def gen_lasso(m, n, s, scheme="gaussian", q=0.5, lam=0.1, noise_sd=0.1, seed=0):
         x_true[support] = rng.uniform(-10.0, 10.0, size=s)
     noise = rng.normal(0.0, noise_sd, size=m)
     b = K @ x_true + noise
-    return ProblemInstance(
-        f=L1Prox(lam),
-        g=SquaredL2Prox(1.0, b),
-        K=DenseOperator(K),
-        h=ZeroSmooth(),
-        x_true=x_true,
-        name=f"lasso-{scheme}-m{m}-n{n}-s{s}-seed{seed}",
-        dims={"m": m, "n": n, "s": s},
-        seed=seed,
-        meta={"scheme": scheme, "q": q, "lam": lam, "noise_sd": noise_sd, "b": b},
+    return _instance(
+        "lasso",
+        {"scheme": scheme, "q": q, "lam": lam, "noise_sd": noise_sd, "b": b, "K": K},
+        {"m": m, "n": n, "s": s},
+        x_true=x_true, name=f"lasso-{scheme}-m{m}-n{n}-s{s}-seed{seed}", seed=seed,
     )
 
 
@@ -142,16 +158,11 @@ def gen_fused_lasso(m, n, lam1=0.001, lam2=0.03, noise_sd=0.01, seed=0):
     x_true = rng.standard_normal(n)
     noise = rng.normal(0.0, noise_sd, size=m)
     b = A @ x_true + noise
-    return ProblemInstance(
-        f=L1Prox(lam1),
-        g=L1Prox(lam2),
-        K=FirstDifference(n),
-        h=LeastSquares(A, b),
-        x_true=x_true,
-        name=f"fused_lasso-m{m}-n{n}-seed{seed}",
-        dims={"m": m, "n": n},
-        seed=seed,
-        meta={"lam1": lam1, "lam2": lam2, "noise_sd": noise_sd, "A": A, "b": b},
+    return _instance(
+        "fused_lasso",
+        {"lam1": lam1, "lam2": lam2, "noise_sd": noise_sd, "A": A, "b": b},
+        {"m": m, "n": n},
+        x_true=x_true, name=f"fused_lasso-m{m}-n{n}-seed{seed}", seed=seed,
     )
 
 
@@ -197,14 +208,19 @@ def parse_libsvm(path, n_features=None):
     positive feature indices. The column count is the largest index seen
     unless ``n_features`` overrides it. Labels are remapped to {-1, +1}:
     values already in that set pass through, otherwise the smaller of two
-    distinct values maps to -1. Malformed lines, and labels or feature
-    values that are NaN or infinite, raise ParseError with their line number.
+    distinct values maps to -1. Malformed or non-UTF-8 lines, and labels or
+    feature values that are NaN or infinite, raise ParseError with their line
+    number.
     """
     rows, cols, vals, raw_labels = [], [], [], []
     max_col = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                tokens = raw.decode("utf-8").split()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start + 1}",
+                                 lineno) from None
             if not tokens:
                 continue
             try:
@@ -355,8 +371,7 @@ def gen_graphnet(
     if k == 0:
         raise ParameterError("sparsity_fraction keeps zero entries")
     rng = np.random.default_rng(seed)
-    D = GridIncidence(n1, n2)
-    W = graph_laplacian(D)
+    W = graph_laplacian(GridIncidence(n1, n2))
     x0 = rng.standard_normal(n)
     x_smth = conjugate_gradient_solve(
         _TikhonovSystem(alpha, W), x0, tol=1e-8, max_iter=1000, check_symmetry=False
@@ -367,25 +382,12 @@ def gen_graphnet(
     A = rng.normal(0.0, np.sqrt(1.0 / m), size=(m, n))
     noise = rng.normal(0.0, noise_sd, size=m)
     b = A @ x_true + noise
-    return ProblemInstance(
-        f=L1Prox(lam1),
-        g=SquaredL2Prox(weight=lam2),
-        K=D,
-        h=LeastSquares(A, b, scale=1.0 / m),
-        x_true=x_true,
-        name=f"graphnet-{n1}x{n2}-m{m}-seed{seed}",
-        dims={"n1": n1, "n2": n2, "m": m, "n": n},
-        seed=seed,
-        meta={
-            "alpha": alpha,
-            "sparsity_fraction": sparsity_fraction,
-            "lam1": lam1,
-            "lam2": lam2,
-            "noise_sd": noise_sd,
-            "A": A,
-            "b": b,
-            "x_smth": x_smth,
-        },
+    return _instance(
+        "graphnet",
+        {"alpha": alpha, "sparsity_fraction": sparsity_fraction, "lam1": lam1,
+         "lam2": lam2, "noise_sd": noise_sd, "A": A, "b": b, "x_smth": x_smth},
+        {"n1": n1, "n2": n2, "m": m, "n": n},
+        x_true=x_true, name=f"graphnet-{n1}x{n2}-m{m}-seed{seed}", seed=seed,
     )
 
 
@@ -413,21 +415,12 @@ def gen_inpainting(image, missing_fraction=0.3, lam=1e-2, seed=0):
         mask[holes] = 0.0
     x_true = image.ravel().copy()
     b = mask * x_true
-    return ProblemInstance(
-        f=ZeroProx(),
-        g=GroupL21Prox(lam, p),
-        K=DiscreteGradient2D(rows, cols),
-        h=MaskedLeastSquares(mask, b),
-        x_true=x_true,
-        name=f"inpainting-{rows}x{cols}-seed{seed}",
-        dims={"rows": rows, "cols": cols},
-        seed=seed,
-        meta={
-            "missing_fraction": missing_fraction,
-            "lam": lam,
-            "mask": mask,
-            "damaged": b,
-        },
+    return _instance(
+        "inpainting",
+        {"rows": rows, "cols": cols, "missing_fraction": missing_fraction, "lam": lam,
+         "mask": mask, "damaged": b},
+        {"rows": rows, "cols": cols},
+        x_true=x_true, name=f"inpainting-{rows}x{cols}-seed{seed}", seed=seed,
     )
 
 
@@ -447,16 +440,12 @@ def gen_strongly_convex(m, n, ridge=1.0, lam=0.1, noise_sd=0.1, seed=0):
     b = A @ x_sig + rng.normal(0.0, noise_sd, size=m)
     K = rng.standard_normal((n, n))
     b_dual = K @ x_sig + rng.normal(0.0, noise_sd, size=n)
-    return ProblemInstance(
-        f=L1Prox(lam),
-        g=SquaredL2Prox(1.0, b_dual),
-        K=DenseOperator(K),
-        h=QuadraticRidge(A, b, ridge),
-        name=f"strongly_convex-m{m}-n{n}-seed{seed}",
-        dims={"m": m, "n": n},
-        seed=seed,
-        meta={"ridge": ridge, "lam": lam, "noise_sd": noise_sd, "A": A, "b": b,
-              "b_dual": b_dual},
+    return _instance(
+        "strongly_convex",
+        {"ridge": ridge, "lam": lam, "noise_sd": noise_sd, "A": A, "b": b,
+         "b_dual": b_dual, "K": K},
+        {"m": m, "n": n},
+        name=f"strongly_convex-m{m}-n{n}-seed{seed}", seed=seed,
     )
 
 
@@ -469,92 +458,160 @@ def synthetic_blocks_image(rows=32, cols=32):
     return img
 
 
+def _gen_inpainting(image=None, seed=0, **params):
+    """gen_inpainting on IMAGE, or on the synthetic blocks image of rows x cols."""
+    size = {key: params.pop(key) for key in ("rows", "cols") if key in params}
+    if image is None:
+        image = synthetic_blocks_image(**size)
+    elif size:
+        raise ParameterError("give either an image or rows/cols, not both")
+    return gen_inpainting(image, seed=seed, **params)
+
+
+FAMILIES = {
+    "lasso": Family(
+        generate=gen_lasso,
+        params={"m": int, "n": int, "s": int, "scheme": _LASSO_SCHEMES, "q": float,
+                "lam": float, "noise_sd": float},
+        required=("m", "n", "s"), dims=("m", "n", "s"),
+        payloads=("K", "b", "x_true"),
+        build=lambda p, d: (L1Prox(p["lam"]), SquaredL2Prox(1.0, p["b"]),
+                            DenseOperator(p["K"]), ZeroSmooth()),
+    ),
+    "fused_lasso": Family(
+        generate=gen_fused_lasso,
+        params={"m": int, "n": int, "lam1": float, "lam2": float, "noise_sd": float},
+        required=("m", "n"), dims=("m", "n"),
+        payloads=("A", "b", "x_true"),
+        build=lambda p, d: (L1Prox(p["lam1"]), L1Prox(p["lam2"]),
+                            FirstDifference(d["n"]), LeastSquares(p["A"], p["b"])),
+    ),
+    "graphnet": Family(
+        generate=gen_graphnet,
+        params={"n1": int, "n2": int, "m": int, "alpha": float, "sparsity_fraction": float,
+                "lam1": float, "lam2": float, "noise_sd": float},
+        required=("n1", "n2", "m"), dims=("n1", "n2", "m", "n"),
+        payloads=("A", "b", "x_true"),
+        build=lambda p, d: (L1Prox(p["lam1"]), SquaredL2Prox(weight=p["lam2"]),
+                            GridIncidence(d["n1"], d["n2"]),
+                            LeastSquares(p["A"], p["b"], scale=1.0 / d["m"])),
+    ),
+    "inpainting": Family(
+        generate=_gen_inpainting,
+        params={"rows": int, "cols": int, "missing_fraction": float, "lam": float},
+        required=(), dims=("rows", "cols"),
+        payloads=("x_true", "mask", "damaged"),
+        build=lambda p, d: (ZeroProx(), GroupL21Prox(p["lam"], d["rows"] * d["cols"]),
+                            DiscreteGradient2D(d["rows"], d["cols"]),
+                            MaskedLeastSquares(p["mask"], p["damaged"])),
+    ),
+    "strongly_convex": Family(
+        generate=gen_strongly_convex,
+        params={"m": int, "n": int, "ridge": float, "lam": float, "noise_sd": float},
+        required=("m", "n"), dims=("m", "n"),
+        payloads=("A", "b", "b_dual", "K"),
+        build=lambda p, d: (L1Prox(p["lam"]), SquaredL2Prox(1.0, p["b_dual"]),
+                            DenseOperator(p["K"]),
+                            QuadraticRidge(p["A"], p["b"], p["ridge"])),
+    ),
+}
+
+
+def _family(name):
+    try:
+        return FAMILIES[name]
+    except KeyError:
+        raise ParameterError(f"unknown or non-generable family {name!r}") from None
+
+
 def generate_instance(spec: GenSpec):
-    """Dispatch a GenSpec to its family generator."""
-    family = spec.family
-    params = dict(spec.params)
-    if family == "lasso":
-        return gen_lasso(seed=spec.seed, **params)
-    if family == "fused_lasso":
-        return gen_fused_lasso(seed=spec.seed, **params)
-    if family == "graphnet":
-        return gen_graphnet(seed=spec.seed, **params)
-    if family == "inpainting":
-        image = params.pop("image", None)
-        if image is None:
-            rows = params.pop("rows", 32)
-            cols = params.pop("cols", 32)
-            image = synthetic_blocks_image(rows, cols)
-        return gen_inpainting(image, seed=spec.seed, **params)
-    if family == "strongly_convex":
-        return gen_strongly_convex(seed=spec.seed, **params)
-    raise ParameterError(f"unknown or non-generable family {family!r}")
+    """Draw the instance a GenSpec describes with its family's generator."""
+    return _family(spec.family).generate(seed=spec.seed, **spec.params)
 
 
 # ---------------------------------------------------------------------------
 # manifest and payload serialization
 
+_JSON_KINDS = {dict: "an object", list: "an array", str: "a string",
+               int: "an integer", float: "a number"}
+
+
+def _field(mapping, key, kind, where):
+    """mapping[key], checked against KIND: one of _JSON_KINDS or a tuple of
+    admissible values. A missing or ill-typed key is a DataError naming it."""
+    if key not in mapping:
+        raise DataError(f"{where} lacks {key!r}")
+    value = mapping[key]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise DataError(f"{where}: {key!r} must be one of {list(kind)}, got {value!r}")
+        return value
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise DataError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, "
+                        f"got {type(value).__name__}")
+    return value
+
+
+def write_json(path, obj):
+    """Write OBJ to PATH as indented, key-sorted JSON ending in a newline.
+
+    The text goes to a temporary file beside PATH that then replaces it, so
+    a failed write leaves the previous file intact and no temporary behind.
+    """
+    path = Path(path)
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# payload dtype name -> its little-endian on-disk layout
+_PAYLOAD_DTYPES = {"float64": "<f8", "int64": "<i8"}
+
 
 def _write_payload(directory, stem, array):
     array = np.asarray(array)
-    if array.dtype.kind == "i":
-        data = array.astype("<i8")
-        dtype = "int64"
-    else:
-        data = array.astype("<f8")
-        dtype = "float64"
-    fname = f"{stem}.bin"
-    data.tofile(directory / fname)
-    return {"file": fname, "dtype": dtype, "shape": list(array.shape)}
+    dtype = "int64" if array.dtype.kind == "i" else "float64"
+    array.astype(_PAYLOAD_DTYPES[dtype]).tofile(directory / f"{stem}.bin")
+    return {"file": f"{stem}.bin", "dtype": dtype, "shape": list(array.shape)}
 
 
-def _read_payload(directory, entry):
-    dtype = "<i8" if entry["dtype"] == "int64" else "<f8"
-    arr = np.fromfile(directory / entry["file"], dtype=dtype)
-    if arr.size != math.prod(entry["shape"]):
+def _read_payload(directory, entry, where):
+    fname = _field(entry, "file", str, where)
+    dtype = _field(entry, "dtype", tuple(_PAYLOAD_DTYPES), where)
+    shape = _field(entry, "shape", list, where)
+    if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
+        raise DataError(f"{where}: 'shape' must list non-negative integers, got {shape}")
+    arr = np.fromfile(directory / fname, dtype=_PAYLOAD_DTYPES[dtype])
+    if arr.size != math.prod(shape):
         raise DataError(
-            f"payload {entry['file']} holds {arr.size} values; "
-            f"its recorded shape {entry['shape']} needs {math.prod(entry['shape'])}"
+            f"payload {fname} holds {arr.size} values; "
+            f"its recorded shape {shape} needs {math.prod(shape)}"
         )
-    return arr.reshape(entry["shape"]).astype(
-        np.int64 if entry["dtype"] == "int64" else np.float64
-    )
-
-
-_PAYLOAD_KEYS = {
-    "lasso": ("b", "x_true"),
-    "fused_lasso": ("A", "b", "x_true"),
-    "graphnet": ("A", "b", "x_true"),
-    "inpainting": ("x_true", "mask", "damaged"),
-    "strongly_convex": ("A", "b", "b_dual"),
-}
+    return arr.reshape(shape).astype(dtype)
 
 
 def save_instance(directory, problem, spec):
     """Write manifest.json plus binary payloads; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    family = spec.family
-    payloads = {}
     sources = {"x_true": problem.x_true, **problem.meta}
-    for key in _PAYLOAD_KEYS.get(family, ()):
-        if sources.get(key) is not None:
-            payloads[key] = _write_payload(directory, key, sources[key])
-    if family == "lasso":
-        payloads["K"] = _write_payload(directory, "K", problem.K.matrix)
-    elif family == "strongly_convex":
-        payloads["K"] = _write_payload(directory, "K", problem.K.matrix)
+    payloads = {
+        key: _write_payload(directory, key, sources[key])
+        for key in _family(spec.family).payloads
+    }
     # record every effective scalar (weights, noise scales, ...) even when
     # the caller relied on generator defaults; explicit spec values win
-    params = {
-        k: v for k, v in problem.meta.items() if not isinstance(v, np.ndarray)
-    }
-    params.update(
-        {k: v for k, v in spec.params.items() if not isinstance(v, np.ndarray)}
-    )
+    params = {k: v for k, v in {**problem.meta, **spec.params}.items()
+              if not isinstance(v, np.ndarray)}
     manifest = {
         "format": "goldsplit-instance-v1",
-        "family": family,
+        "family": spec.family,
         "params": params,
         "seed": spec.seed,
         "name": problem.name,
@@ -565,85 +622,57 @@ def save_instance(directory, problem, spec):
         "payloads": payloads,
     }
     path = directory / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
     return path
 
 
 def load_instance(manifest_path):
-    """Rebuild a ProblemInstance from a manifest and its payload sidecars."""
+    """Rebuild a ProblemInstance from a manifest and its payload sidecars.
+
+    The manifest must carry every parameter, dimension and payload that its
+    family's record names; a missing or ill-typed one is a DataError.
+    """
     manifest_path = Path(manifest_path)
-    directory = manifest_path.parent
     try:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {manifest_path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != "goldsplit-instance-v1":
         raise DataError(f"unrecognized manifest format in {manifest_path}")
-    family = manifest["family"]
-    params = manifest["params"]
+    where = f"manifest {manifest_path}"
+    name = _field(manifest, "family", tuple(FAMILIES), where)
+    family = FAMILIES[name]
+    params = _field(manifest, "params", dict, where)
+    dims = _field(manifest, "dims", dict, where)
+    entries = _field(manifest, "payloads", dict, where)
+    for key, kind in family.params.items():
+        _field(params, key, kind, f"{where} params")
+    for key in family.dims:
+        _field(dims, key, int, f"{where} dims")
     arrays = {
-        key: _read_payload(directory, entry)
-        for key, entry in manifest["payloads"].items()
+        key: _read_payload(manifest_path.parent,
+                           _field(entries, key, dict, f"{where} payloads"),
+                           f"{where} payload {key!r}")
+        for key in family.payloads
     }
-    dims = manifest["dims"]
-
-    if family == "lasso":
-        problem = ProblemInstance(
-            f=L1Prox(params.get("lam", 0.1)),
-            g=SquaredL2Prox(1.0, arrays["b"]),
-            K=DenseOperator(arrays["K"]),
-            h=ZeroSmooth(),
-            x_true=arrays.get("x_true"),
-        )
-    elif family == "fused_lasso":
-        problem = ProblemInstance(
-            f=L1Prox(params.get("lam1", 0.001)),
-            g=L1Prox(params.get("lam2", 0.03)),
-            K=FirstDifference(dims["n"]),
-            h=LeastSquares(arrays["A"], arrays["b"]),
-            x_true=arrays.get("x_true"),
-        )
-    elif family == "graphnet":
-        problem = ProblemInstance(
-            f=L1Prox(params.get("lam1", 6.64e-6)),
-            g=SquaredL2Prox(weight=params.get("lam2", 1e-6)),
-            K=GridIncidence(dims["n1"], dims["n2"]),
-            h=LeastSquares(arrays["A"], arrays["b"], scale=1.0 / dims["m"]),
-            x_true=arrays.get("x_true"),
-        )
-    elif family == "inpainting":
-        rows, cols = dims["rows"], dims["cols"]
-        problem = ProblemInstance(
-            f=ZeroProx(),
-            g=GroupL21Prox(params.get("lam", 1e-2), rows * cols),
-            K=DiscreteGradient2D(rows, cols),
-            h=MaskedLeastSquares(arrays["mask"], arrays["damaged"]),
-            x_true=arrays.get("x_true"),
-        )
-    elif family == "strongly_convex":
-        problem = ProblemInstance(
-            f=L1Prox(params.get("lam", 0.1)),
-            g=SquaredL2Prox(1.0, arrays["b_dual"]),
-            K=DenseOperator(arrays["K"]),
-            h=QuadraticRidge(arrays["A"], arrays["b"], params.get("ridge", 1.0)),
-        )
-    else:
-        raise DataError(f"cannot rebuild family {family!r}")
-
-    # keep payload arrays reachable under their generator-time names so
-    # consumers (e.g. the -b warm start) behave the same on loaded instances
-    problem.meta.update(params)
-    problem.meta.update(
-        {k: v for k, v in arrays.items() if k not in ("K", "x_true")}
+    F_star = provenance = None
+    if manifest.get("F_star") is not None:
+        fs = _field(manifest, "F_star", dict, where)
+        F_star = _field(fs, "value", float, f"{where} F_star")
+        provenance = fs.get("provenance")
+    x_true = arrays.pop("x_true", None)
+    # payload arrays stay reachable in meta under their generator-time names,
+    # so consumers (e.g. the -b warm start) behave the same on loaded instances
+    return _instance(
+        name,
+        {**params, **arrays},
+        dims,
+        x_true=x_true,
+        F_star=F_star,
+        F_star_provenance=provenance,
+        name=manifest.get("name", name),
+        seed=manifest.get("seed"),
     )
-    problem.name = manifest.get("name", family)
-    problem.dims = dims
-    problem.seed = manifest.get("seed")
-    fs = manifest.get("F_star")
-    if fs is not None:
-        problem.F_star = fs["value"]
-        problem.F_star_provenance = fs.get("provenance")
-    return problem
 
 
 def update_manifest_f_star(manifest_path, value, provenance):
@@ -651,7 +680,7 @@ def update_manifest_f_star(manifest_path, value, provenance):
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     manifest["F_star"] = {"value": value, "provenance": provenance}
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(manifest_path, manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -168,6 +168,15 @@ def _truncate_payload(manifest):
     payload.write_bytes(payload.read_bytes()[:-8])
 
 
+def _edit_manifest(edit):
+    """A mutation that applies EDIT to the parsed manifest and writes it back."""
+    def mutate(manifest):
+        data = json.loads(manifest.read_text())
+        edit(data)
+        manifest.write_text(json.dumps(data))
+    return mutate
+
+
 # each case: run flags (after --manifest), a mutation of the instance, stderr text
 _BAD_INPUTS = {
     "malformed-config": (["--config", "{dir}/cfg.json"],
@@ -183,6 +192,20 @@ _BAD_INPUTS = {
     "truncated-payload": ([], _truncate_payload, "payload K.bin holds 799 values"),
     "infinite-tau": (["--tau", "inf", "--sigma", "0.1"], None,
                      "pdhg needs a finite fixed tau > 0 (got inf)"),
+    "non-object-config-section": (["--config", "{dir}/cfg.json"],
+                                  lambda m: (m.parent / "cfg.json").write_text('{"defaults": [1]}'),
+                                  "--config section 'defaults' must hold a JSON object"),
+    **{f"manifest-without-{key}": ([], _edit_manifest(lambda d, key=key: d.pop(key)),
+                                   f"lacks {key!r}")
+       for key in ("family", "params", "dims", "payloads")},
+    "manifest-without-K-payload": ([], _edit_manifest(lambda d: d["payloads"].pop("K")),
+                                   "payloads lacks 'K'"),
+    "payload-without-file": ([], _edit_manifest(lambda d: d["payloads"]["b"].pop("file")),
+                             "payload 'b' lacks 'file'"),
+    "params-not-an-object": ([], _edit_manifest(lambda d: d.update(params=[1])),
+                             "'params' must be an object, got list"),
+    "manifest-without-lam": ([], _edit_manifest(lambda d: d["params"].pop("lam")),
+                             "params lacks 'lam'"),
 }
 
 
@@ -201,6 +224,25 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+
+
+def test_non_utf8_libsvm_is_one_line_usage_error(tmp_path, capsys):
+    data = tmp_path / "toy.libsvm"
+    data.write_bytes(b"+1 1:0.4 3:1.2\n-1 2:0.5 \xff\n")
+    code = main(["run", "--libsvm", str(data), "--solvers", "pdhg",
+                 "--out", str(tmp_path / "runs")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 2: not UTF-8 text: invalid start byte at byte 10"]
+
+
+def test_generate_inpainting_image_with_size_is_usage_error(tmp_path, capsys):
+    img_path = tmp_path / "img.pgm"
+    write_pgm(img_path, synthetic_blocks_image(8, 8))
+    code = main(["generate", "--family", "inpainting", "--image", str(img_path),
+                 "--rows", "8", "--out", str(tmp_path / "inp")])
+    assert code == 2
+    assert "either an image or rows/cols" in capsys.readouterr().err
 
 
 def test_run_config_file_with_flag_override(tmp_path):

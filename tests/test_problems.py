@@ -452,6 +452,52 @@ def test_manifest_f_star_update(tmp_path):
     assert "reference" in loaded.F_star_provenance
 
 
+def _half_write(self, text):
+    with open(self, "w") as fh:
+        fh.write(text[: len(text) // 2])
+    raise OSError("disk full")
+
+
+def _refuse(*args, **kwargs):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("target, replacement", [
+    ("goldsplit.problems.json.dumps", _refuse),
+    ("pathlib.Path.write_text", _half_write),
+    ("goldsplit.problems.os.replace", _refuse),
+], ids=["serialise", "write", "replace"])
+def test_failed_manifest_write_keeps_previous_file(tmp_path, monkeypatch, target, replacement):
+    spec = GenSpec("lasso", {"m": 6, "n": 8, "s": 2}, 1)
+    path = save_instance(tmp_path, generate_instance(spec), spec)
+    before = path.read_bytes()
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    from goldsplit.problems import update_manifest_f_star
+
+    monkeypatch.setattr(target, replacement)
+    with pytest.raises(OSError, match="disk full"):
+        update_manifest_f_star(path, 1.25, "reference run, 100 iterations")
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+def test_family_records_share_one_type_per_parameter():
+    from goldsplit.problems import FAMILIES
+
+    kinds = {}
+    for family in FAMILIES.values():
+        assert set(family.required) <= set(family.params)
+        for key, kind in family.params.items():
+            assert kinds.setdefault(key, kind) == kind, key
+
+
+def test_inpainting_takes_an_image_or_a_size():
+    spec = GenSpec("inpainting", {"image": synthetic_blocks_image(8, 8), "rows": 8}, 0)
+    with pytest.raises(ParameterError, match="either an image or rows/cols"):
+        generate_instance(spec)
+
+
 def test_pgm_round_trip(tmp_path):
     img = synthetic_blocks_image(16, 12)
     path = tmp_path / "img.pgm"
