@@ -44,6 +44,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+# every per-family generate parameter and its flag type; families that
+# share a name share its type
+_FAMILY_PARAMS = {k: kind for family in FAMILIES.values() for k, kind in family.params.items()}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="goldsplit",
@@ -53,11 +58,7 @@ def _build_parser():
 
     gen = sub.add_parser("generate", help="generate a benchmark instance to disk")
     gen.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    # one flag per parameter name; families that share a name share its type
-    kinds = {}
-    for family in FAMILIES.values():
-        kinds.update(family.params)
-    for key, kind in kinds.items():
+    for key, kind in _FAMILY_PARAMS.items():
         typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
         gen.add_argument("--" + key.replace("_", "-"), dest=key, **typed)
     gen.add_argument("--image", help="PGM image for inpainting (default: synthetic blocks)")
@@ -112,13 +113,20 @@ def _build_parser():
 
 def cmd_generate(args):
     family = FAMILIES[args.family]
+    takes = set(family.params) | ({"image"} if args.family == "inpainting" else set())
+    foreign = [k for k in (*_FAMILY_PARAMS, "image")
+               if k not in takes and getattr(args, k) is not None]
+    if foreign:
+        flags = ", ".join("--" + k.replace("_", "-") for k in foreign)
+        print(f"error: family {args.family} does not take {flags}", file=sys.stderr)
+        return EXIT_USAGE
     missing = [k for k in family.required if getattr(args, k) is None]
     if missing:
         flags = ", ".join(f"--{k}" for k in missing)
         print(f"error: family {args.family} requires {flags}", file=sys.stderr)
         return EXIT_USAGE
     params = {k: getattr(args, k) for k in family.params if getattr(args, k) is not None}
-    if args.family == "inpainting" and args.image:
+    if args.image:
         params["image"] = read_pgm(args.image)
     spec = GenSpec(family=args.family, params=params, seed=args.seed)
     path = save_instance(args.out, generate_instance(spec), spec)

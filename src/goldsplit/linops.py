@@ -16,6 +16,18 @@ import scipy.sparse as sp
 from .errors import ConstructionError, DimensionError, ParameterError
 
 
+def vector_norm(v):
+    """Euclidean norm of a real 1-D float array: sqrt(v . v).
+
+    For a contiguous vector these are the bytes of np.linalg.norm, which
+    computes sqrt(x.dot(x)) for 1-D real input, at a fraction of its call
+    overhead. np.linalg.norm first copies a strided view into a contiguous
+    array, and BLAS may sum a strided view in another order, so there the
+    last bits can differ.
+    """
+    return math.sqrt(v.dot(v))
+
+
 class Shape(NamedTuple):
     """Operator dimensions: x lives in R^domain_dim, Kx in R^codomain_dim."""
 
@@ -39,6 +51,8 @@ class LinearOperator:
         if shape.domain_dim < 0 or shape.codomain_dim < 0:
             raise DimensionError(f"invalid operator shape {shape}")
         self.shape = shape
+        self._domain_shape = (shape.domain_dim,)
+        self._codomain_shape = (shape.codomain_dim,)
 
     def matvec(self, x):
         raise NotImplementedError
@@ -51,14 +65,14 @@ class LinearOperator:
         return None
 
     def _check_domain(self, x):
-        if x.shape != (self.shape.domain_dim,):
+        if x.shape != self._domain_shape:
             raise DimensionError(
                 f"{self.kind}: expected input of length {self.shape.domain_dim}, "
                 f"got shape {x.shape}"
             )
 
     def _check_codomain(self, y):
-        if y.shape != (self.shape.codomain_dim,):
+        if y.shape != self._codomain_shape:
             raise DimensionError(
                 f"{self.kind}: expected dual input of length {self.shape.codomain_dim}, "
                 f"got shape {y.shape}"
@@ -69,7 +83,12 @@ class LinearOperator:
 
 
 class DenseOperator(LinearOperator):
-    """Dense row-major matrix."""
+    """Dense row-major matrix.
+
+    The applications compare shapes inline and call the shared checks only
+    to raise, since on small vectors the call would cost about as much as
+    the product.
+    """
 
     kind = "dense"
 
@@ -78,15 +97,18 @@ class DenseOperator(LinearOperator):
         if matrix.ndim != 2:
             raise ConstructionError("dense payload must be a 2-D array")
         self.matrix = matrix
+        self._matrix_t = matrix.T
         super().__init__(Shape(matrix.shape[1], matrix.shape[0]))
 
     def matvec(self, x):
-        self._check_domain(x)
+        if x.shape != self._domain_shape:
+            self._check_domain(x)
         return self.matrix @ x
 
     def rmatvec(self, y):
-        self._check_codomain(y)
-        return self.matrix.T @ y
+        if y.shape != self._codomain_shape:
+            self._check_codomain(y)
+        return self._matrix_t @ y
 
 
 class CsrOperator(LinearOperator):
@@ -356,7 +378,7 @@ def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):
         raise ParameterError("tol must be positive")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.shape.domain_dim)
-    nv = np.linalg.norm(v)
+    nv = vector_norm(v)
     if nv == 0:
         return 0.0
     v /= nv
@@ -365,7 +387,8 @@ def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):
     for _ in range(max_iter):
         w = op.rmatvec(op.matvec(v))
         rayleigh = float(v @ w)
-        nw = np.linalg.norm(w)
+        # a contiguous copy of a strided w, as np.linalg.norm sums it
+        nw = vector_norm(w.ravel())
         if nw == 0:
             return 0.0
         v = w / nw

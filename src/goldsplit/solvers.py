@@ -39,7 +39,7 @@ from .errors import (
     ParameterError,
     StepsizeWarning,
 )
-from .linops import operator_norm
+from .linops import operator_norm, vector_norm as _norm
 from .metrics import IterationTrace, constraint_violation, objective, psnr
 from .prox import ZeroSmooth
 
@@ -53,15 +53,6 @@ _REGION_TOL = 1e-5
 # ratios computed from them are meaningless, so the zero-step convention
 # (keep the previous stepsize) applies.
 _STEP_NOISE_FLOOR = 1e-14
-
-
-def _norm(v):
-    """Euclidean norm of a real 1-D array.
-
-    The same bytes as np.linalg.norm, which computes sqrt(v @ v) for such
-    arrays, at a fraction of its call overhead.
-    """
-    return math.sqrt(v @ v)
 
 
 @dataclass
@@ -100,7 +91,7 @@ class SolverConfig:
         """Growth factor: defaults to 1/psi + 1/psi^2 when unset."""
         if self.rho is not None:
             return self.rho
-        return 1.0 / self.psi + 1.0 / self.psi**2
+        return _rho_cap(self.psi)
 
 
 def pgrpda_mu_bound(psi):
@@ -111,6 +102,23 @@ def pgrpda_mu_bound(psi):
 def _finite_positive(value):
     """The rejecting form of 0 < value < inf: False for NaN and +-inf."""
     return math.isfinite(value) and value > 0
+
+
+def _psi_bound(bound, psi):
+    """bound(psi), or NaN where its float arithmetic fails.
+
+    A psi far outside its range can underflow psi^2 to 0 or overflow it.
+    NaN fails every bound, so the config is still rejected with a message.
+    """
+    try:
+        return bound(psi)
+    except (ZeroDivisionError, OverflowError):
+        return math.nan
+
+
+def _rho_cap(psi):
+    """The largest growth factor for psi: 1/psi + 1/psi^2."""
+    return 1.0 / psi + 1.0 / psi**2
 
 
 def _check_golden_psi(config):
@@ -127,7 +135,7 @@ def _check_pgrpda(config):
             yield f"pgrpda extended: psi must lie in (1, {1 + math.sqrt(3):.6f}) (got {psi})"
         if not (3.0 * mup < mu):
             yield f"pgrpda extended: need 3*mu_prime < mu (got {3 * mup} vs {mu})"
-        bound = pgrpda_mu_bound(psi)
+        bound = _psi_bound(pgrpda_mu_bound, psi)
         if not (mu < bound + _REGION_TOL):
             yield (
                 f"pgrpda extended: need mu < psi/2 + psi(1+psi-psi^2)/(2(psi+1)) "
@@ -145,7 +153,7 @@ def _check_growth(config):
     """psi, the growth factor, theta0 and the cap of a stepsize that may grow."""
     yield from _check_golden_psi(config)
     alg = config.algorithm
-    rho_cap = 1.0 / config.psi + 1.0 / config.psi**2
+    rho_cap = _psi_bound(_rho_cap, config.psi)
     if config.rho is not None and not (0.0 < config.rho <= rho_cap + 1e-12):
         yield (
             f"{alg}: rho must lie in (0, 1/psi + 1/psi^2] = (0, {rho_cap:.6f}] "
@@ -270,6 +278,11 @@ def aegrpda_tau_update(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_ma
     """
     if tau_prev <= 0 or theta_prev <= 0:
         raise ParameterError("tau_prev and theta_prev must be positive")
+    return _aegrpda_tau(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_max)
+
+
+def _aegrpda_tau(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_max):
+    """aegrpda_tau_update without the argument checks."""
     candidates = [rho * tau_prev, tau_max]
     if L_n is not None:
         denom = 9.0 * (L_n**2 + beta * psi * (K_norm * K_norm)) * tau_prev
@@ -401,9 +414,9 @@ def _adaptive_policy(state, config, ndx, x_new, Kx_new, grad_new):
     if config.K_norm is None:
         raise ParameterError("aegrpda needs K_norm; pass it in the config or use run_solver")
     L = None if _negligible(ndx, x_new) else _local_lipschitz(_grad_change(state, grad_new), ndx)
-    tau_new, theta_new = aegrpda_tau_update(state.tau, state.theta, L, config.K_norm,
-                                            config.beta, config.psi, config.effective_rho,
-                                            config.tau_max)
+    tau_new, theta_new = _aegrpda_tau(state.tau, state.theta, L, config.K_norm,
+                                      config.beta, config.psi, config.effective_rho,
+                                      config.tau_max)
     return tau_new, config.beta * tau_new, theta_new, L
 
 
@@ -498,7 +511,8 @@ def _agraal_step(state, problem, config, scheme):
     lam = state.tau
     Fx = state.grad_x + problem.K.rmatvec(state.y)
     Fy = -state.Kx
-    du2 = _norm(state.x - state.x_prev) ** 2 + _norm(state.y - state.y_prev) ** 2
+    # ||x - x_prev|| is the last step's ||x_new - x||, from the same operands
+    du2 = state.dx_norm**2 + _norm(state.y - state.y_prev) ** 2
     dF2 = _norm(Fx - state.Fx_prev) ** 2 + _norm(Fy - state.Fy_prev) ** 2
     candidates = [rho * lam, config.tau_max]
     scale = 1.0 + _norm(state.x) + _norm(state.y)
@@ -670,6 +684,10 @@ def run_solver(
     k_norm = _resolve_k_norm(problem, config)
     if k_norm is not None and config.K_norm is None:
         config = dataclasses.replace(config, K_norm=k_norm)
+    if config.rho is None and SCHEMES[config.algorithm].check is _check_growth:
+        # the growth factor of a stepsize that may grow, resolved once, not
+        # at every step
+        config = dataclasses.replace(config, rho=config.effective_rho)
     messages = _stepsize_messages(problem, config, k_norm)
     for msg in messages:
         warnings.warn(msg, StepsizeWarning, stacklevel=2)

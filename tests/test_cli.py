@@ -226,6 +226,50 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, case):
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
 
 
+# generate flags that the chosen family does not take, and the one line naming them
+_FOREIGN_GENERATE_FLAGS = {
+    "fused-lasso-with-lasso-flags": (
+        ["--family", "fused_lasso", "--m", "5", "--n", "6", "--q", "0.3", "--s", "2"],
+        "family fused_lasso does not take --s, --q"),
+    "lasso-with-image": (
+        ["--family", "lasso", "--m", "5", "--n", "6", "--s", "2", "--image", "/nonexistent.pgm"],
+        "family lasso does not take --image"),
+    "lasso-with-ridge": (
+        ["--family", "lasso", "--m", "5", "--n", "6", "--s", "2", "--ridge", "0.5"],
+        "family lasso does not take --ridge"),
+    "inpainting-with-m": (
+        ["--family", "inpainting", "--rows", "8", "--cols", "8", "--m", "4"],
+        "family inpainting does not take --m"),
+    "graphnet-with-missing-fraction": (
+        ["--family", "graphnet", "--n1", "3", "--n2", "3", "--m", "9",
+         "--missing-fraction", "0.5", "--scheme", "gaussian"],
+        "family graphnet does not take --scheme, --missing-fraction"),
+    "strongly-convex-without-m-with-lam1": (
+        ["--family", "strongly_convex", "--n", "6", "--lam1", "0.1"],
+        "family strongly_convex does not take --lam1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FOREIGN_GENERATE_FLAGS))
+def test_generate_foreign_flag_is_one_line_usage_error(tmp_path, capsys, case):
+    flags, message = _FOREIGN_GENERATE_FLAGS[case]
+    out = tmp_path / "inst"
+    code = main(["generate", *flags, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+def test_generate_inpainting_takes_image(tmp_path, capsys):
+    img_path = tmp_path / "img.pgm"
+    write_pgm(img_path, synthetic_blocks_image(6, 5))
+    out = tmp_path / "inp"
+    code = main(["generate", "--family", "inpainting", "--image", str(img_path),
+                 "--lam", "0.2", "--out", str(out)])
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["dims"] == {"rows": 6, "cols": 5}
+
+
 def test_non_utf8_libsvm_is_one_line_usage_error(tmp_path, capsys):
     data = tmp_path / "toy.libsvm"
     data.write_bytes(b"+1 1:0.4 3:1.2\n-1 2:0.5 \xff\n")

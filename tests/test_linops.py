@@ -17,6 +17,7 @@ from goldsplit.linops import (
     estimate_operator_norm,
     graph_laplacian,
     operator_norm,
+    vector_norm,
 )
 
 from oracles import materialize
@@ -369,3 +370,118 @@ def test_matvec_shape_checks(rng):
         op.matvec(np.zeros(5))
     with pytest.raises(DimensionError):
         op.rmatvec(np.zeros(6))
+
+
+# ---------------------------------------------------------------------------
+# the small-vector paths: the bytes of the calls they replace
+
+
+@pytest.mark.parametrize("size", [0, 1, 50, 30976])
+def test_vector_norm_matches_linalg_norm(size):
+    rng = np.random.default_rng(size)
+    for scale in (1.0, 1e-160, 1e150):
+        v = scale * rng.standard_normal(size)
+        assert vector_norm(v) == np.linalg.norm(v)
+        # the solvers' former v @ v
+        assert vector_norm(v) == math.sqrt(v @ v)
+        assert type(vector_norm(v)) is float
+
+
+@pytest.mark.parametrize("step", [2, 3, -1, -2])
+def test_vector_norm_of_strided_views(step):
+    base = np.random.default_rng(7).standard_normal(30976 * 3)
+    for size in (1, 50, 30976):
+        v = base[::step][:size]
+        # np.linalg.norm sums a contiguous copy; BLAS may sum the view in
+        # another order
+        assert vector_norm(np.ravel(v)) == np.linalg.norm(v)
+        assert math.isclose(vector_norm(v), np.linalg.norm(v), rel_tol=1e-13)
+        if step > 0:
+            assert vector_norm(v) == math.sqrt(v @ v)
+
+
+def test_vector_norm_overflow_and_non_finite():
+    with np.errstate(over="ignore"):
+        assert vector_norm(np.array([1e200, 1.0])) == math.inf
+    assert vector_norm(np.array([1.0, math.inf])) == math.inf
+    assert math.isnan(vector_norm(np.array([1.0, math.nan])))
+
+
+def test_dense_products_match_plain_matmul():
+    rng = np.random.default_rng(11)
+    for m, n in ((1, 1), (50, 100), (100, 50), (0, 3), (3, 0)):
+        A = rng.standard_normal((m, n))
+        op = DenseOperator(A)
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        assert op.matvec(x).tobytes() == (A @ x).tobytes()
+        assert op.rmatvec(y).tobytes() == (A.T @ y).tobytes()
+        # strided inputs are products of the same view
+        xs, ys = rng.standard_normal(2 * n)[::2], rng.standard_normal(2 * m)[::2]
+        assert op.matvec(xs).tobytes() == (A @ xs).tobytes()
+        assert op.rmatvec(ys).tobytes() == (A.T @ ys).tobytes()
+
+
+def test_dense_shape_errors_keep_their_messages():
+    op = DenseOperator(np.ones((4, 6)))
+    for bad in (np.zeros(5), np.zeros((6, 1)), np.zeros(())):
+        with pytest.raises(DimensionError) as exc:
+            op.matvec(bad)
+        assert str(exc.value) == f"dense: expected input of length 6, got shape {bad.shape}"
+    for bad in (np.zeros(6), np.zeros((1, 4))):
+        with pytest.raises(DimensionError) as exc:
+            op.rmatvec(bad)
+        assert str(exc.value) == (
+            f"dense: expected dual input of length 4, got shape {bad.shape}"
+        )
+
+
+def _linalg_norm_power_iteration(op, tol=1e-8, max_iter=5000, seed=0):
+    """estimate_operator_norm as written with np.linalg.norm."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(op.shape.domain_dim)
+    nv = np.linalg.norm(v)
+    if nv == 0:
+        return 0.0
+    v /= nv
+    rayleigh = 0.0
+    prev = -np.inf
+    for _ in range(max_iter):
+        w = op.rmatvec(op.matvec(v))
+        rayleigh = float(v @ w)
+        nw = np.linalg.norm(w)
+        if nw == 0:
+            return 0.0
+        v = w / nw
+        if abs(rayleigh - prev) <= tol * max(abs(rayleigh), 1e-30):
+            break
+        prev = rayleigh
+    return float(np.sqrt(max(rayleigh, 0.0)))
+
+
+class _DuckOperator:
+    """Only shape, matvec and rmatvec; rmatvec returns a strided view."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.shape = DenseOperator(matrix).shape
+
+    def matvec(self, x):
+        return self.matrix @ x
+
+    def rmatvec(self, y):
+        out = np.empty(2 * self.shape.domain_dim)
+        out[::2] = self.matrix.T @ y
+        return out[::2]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_power_iteration_returns_the_linalg_norm_result(seed):
+    rng = np.random.default_rng(20 + seed)
+    A = rng.standard_normal((50, 100))
+    sparse = sp.random(60, 40, density=0.2, random_state=seed, format="csr")
+    for op in (DenseOperator(A), CsrOperator(sparse), _DuckOperator(A),
+               DenseOperator(np.zeros((3, 4)))):
+        for tol in (1e-8, 1e-13):
+            assert estimate_operator_norm(op, tol=tol, seed=seed) == (
+                _linalg_norm_power_iteration(op, tol=tol, seed=seed)
+            )

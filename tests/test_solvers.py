@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldsplit import linops, solvers
 from goldsplit.errors import ConfigError, NumericAbort, StepsizeWarning
@@ -149,6 +151,44 @@ def test_infinite_parameter_is_rejected(name, alg, value):
     with pytest.raises(ConfigError) as exc:
         validate_config(SolverConfig(alg, **{**steps, name: value}))
     assert any("inf" in v for v in exc.value.violations)
+
+
+# NaN, +-inf, and every finite negative float (-0.0 counts as zero)
+_BAD_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(max_value=-5e-324, allow_infinity=False),
+)
+
+
+# the extended pgrpda region reads the fields pgrpda reads
+_EXTENDED = {"extended": True, "mu_prime": 0.2}
+
+
+@pytest.mark.parametrize(
+    "name,alg,extra",
+    [(name, alg, {}) for name, algs in _FLOAT_FIELD_READERS.items() for alg in algs]
+    + [(name, "pgrpda", _EXTENDED) for name, algs in _FLOAT_FIELD_READERS.items()
+       if "pgrpda" in algs],
+    ids=lambda p: ("extended" if p else "base") if isinstance(p, dict) else None,
+)
+@settings(max_examples=25, deadline=None)
+@given(value=_BAD_FLOATS)
+def test_non_finite_or_negative_parameter_is_rejected(name, alg, extra, value):
+    steps = {"tau": 0.1, "sigma": 0.1} if alg in _FIXED else {}
+    base = SolverConfig(alg, **steps, **extra)
+    assert validate_config(base) is base
+    with pytest.raises(ConfigError):
+        validate_config(dataclasses.replace(base, **{name: value}))
+
+
+@pytest.mark.parametrize("psi", [-1.0, 0.0, 1e-200, -1e-200, 1e200, -1e200])
+def test_psi_far_out_of_range_is_a_violation_not_an_arithmetic_error(psi):
+    for cfg in (SolverConfig("pgrpda", psi=psi, **_EXTENDED),
+                SolverConfig("aegrpda", psi=psi, rho=1.0),
+                SolverConfig("agraal", psi=psi, rho=1.0)):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(cfg)
+        assert any("psi must lie in" in v for v in exc.value.violations)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +372,93 @@ def test_agraal_matches_transcription():
     assert np.max(np.abs(state.y - y)) <= 1e-12
     assert np.max(np.abs(state.w - w)) <= 1e-12
     assert abs(state.tau - lam) <= 1e-12
+
+
+def _agraal_step_fresh(state, problem, config, scheme):
+    """The agraal step as written before it reused dx_norm: ||x - x_prev|| afresh."""
+    psi = config.psi
+    rho = config.effective_rho
+    lam = state.tau
+    Fx = state.grad_x + problem.K.rmatvec(state.y)
+    Fy = -state.Kx
+    du2 = np.linalg.norm(state.x - state.x_prev) ** 2 + np.linalg.norm(state.y - state.y_prev) ** 2
+    dF2 = np.linalg.norm(Fx - state.Fx_prev) ** 2 + np.linalg.norm(Fy - state.Fy_prev) ** 2
+    candidates = [rho * lam, config.tau_max]
+    scale = 1.0 + np.linalg.norm(state.x) + np.linalg.norm(state.y)
+    if math.sqrt(du2) > solvers._STEP_NOISE_FLOOR * scale and dF2 > 0.0:
+        candidates.append(psi * state.theta / (4.0 * lam) * du2 / dF2)
+    lam_new = min(candidates)
+    x_bar = ((psi - 1.0) * state.x + state.z) / psi
+    x_new = problem.f.prox(x_bar - lam_new * Fx, lam_new)
+    y_bar = ((psi - 1.0) * state.y + state.y_bar) / psi
+    w, y_new = solvers._dual_step(state, config, problem.g, y_bar, state.Kx, lam_new)
+    state.dx_norm = np.linalg.norm(x_new - state.x)
+    state.x_prev = state.x
+    state.y_prev = state.y
+    state.Fx_prev = Fx
+    state.Fy_prev = Fy
+    state.z = x_bar
+    state.y_bar = y_bar
+    state.x = x_new
+    state.y = y_new
+    state.w = w
+    state.Kx = problem.K.matvec(x_new)
+    if scheme.smooth:
+        state.grad_x = problem.h.grad(x_new)
+    state.tau_prev = lam
+    state.tau = lam_new
+    state.sigma = lam_new
+    state.theta_prev = state.theta
+    state.theta = psi * lam_new / lam
+    return state
+
+
+@pytest.mark.parametrize("smooth", [False, True], ids=["h-zero", "h-least-squares"])
+def test_agraal_reused_step_norm_matches_a_fresh_one(monkeypatch, smooth):
+    # the step takes ||x - x_prev|| from the last step's dx_norm
+    problem = gen_lasso(30, 60, 4, seed=8)
+    if smooth:
+        A = np.random.default_rng(3).standard_normal((20, 60))
+        problem = dataclasses.replace(problem, h=LeastSquares(A, np.ones(20), scale=0.01))
+    cfg = SolverConfig("agraal", tau0=0.5, psi=1.5, max_iters=400, trace_stride=7)
+    x0 = np.random.default_rng(4).standard_normal(60)
+    fresh = []
+    state, trace, _ = run_solver(
+        problem, cfg, x0=x0, record_time=False,
+        callback=lambda st: fresh.append(st.dx_norm == np.linalg.norm(st.x - st.x_prev)),
+    )
+    assert len(fresh) == 400 and all(fresh)
+    scheme = dataclasses.replace(solvers.SCHEMES["agraal"], step=_agraal_step_fresh)
+    monkeypatch.setitem(solvers.SCHEMES, "agraal", scheme)
+    state_f, trace_f, _ = run_solver(problem, cfg, x0=x0, record_time=False)
+    for name in ("x", "y", "w", "x_bar", "w_bar"):
+        assert getattr(state, name).tobytes() == getattr(state_f, name).tobytes()
+    assert (state.tau, state.theta) == (state_f.tau, state_f.theta)
+    for name in ("F", "tau", "sigma", "theta", "dx", "xz", "cviol"):
+        assert trace.column(name).tobytes() == trace_f.column(name).tobytes()
+
+
+def test_aegrpda_unchecked_update_matches_checked_one():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        tau, theta, k = rng.uniform(1e-3, 10.0, 3)
+        L = None if rng.random() < 0.2 else float(rng.uniform(0.0, 5.0))
+        args = (float(tau), float(theta), L, float(k), 0.3, 1.5, 1.1, 50.0)
+        assert solvers._aegrpda_tau(*args) == aegrpda_tau_update(*args)
+
+
+def test_run_solver_resolves_the_growth_factor_once():
+    problem = gen_lasso(20, 40, 3, seed=2)
+    seen = []
+    for rho in (None, 1.0 / 1.5 + 1.0 / 1.5**2):
+        cfg = SolverConfig("aegrpda", tau0=1.0, psi=1.5, rho=rho, max_iters=50)
+        state, trace, _ = run_solver(problem, cfg, record_time=False)
+        seen.append((state.x.tobytes(), trace.column("tau").tobytes()))
+    assert seen[0] == seen[1]
+    # a scheme that never grows its stepsize does not read psi or rho
+    state, _, _ = run_solver(problem, SolverConfig("pdhg", tau=0.05, sigma=0.05, psi=0.0,
+                                                   max_iters=5))
+    assert state.n == 5
 
 
 def test_aegrpda_bounds_with_nonzero_curvature():
