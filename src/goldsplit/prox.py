@@ -22,23 +22,10 @@ def _check_step(t, lam=0.0):
         raise ParameterError("prox step and regularization weight must be >= 0")
 
 
-_FLOAT64 = np.dtype(np.float64)
-
-# The proxes below work in place on the one array they allocate. Each
-# in-place ufunc keeps the operand order of the plain expression: when both
-# operands are NaN, the result carries the first one's sign and payload.
-
-
 def prox_l1(v, t, lam):
     """Soft thresholding: sign(v_i) * max(|v_i| - t*lam, 0)."""
     _check_step(t, lam)
-    a = np.abs(v) - t * lam
-    if a.dtype.kind != "f":
-        # integer data and threshold: np.maximum with 0.0 would promote
-        a = a.astype(np.float64)
-    np.maximum(a, 0.0, out=a)
-    np.multiply(np.sign(v), a, out=a)
-    return a
+    return np.sign(v) * np.maximum(np.abs(v) - t * lam, 0.0)
 
 
 def prox_sq_l2(v, t, weight=1.0, b=None):
@@ -48,13 +35,7 @@ def prox_sq_l2(v, t, weight=1.0, b=None):
         raise ParameterError("weight must be positive")
     if b is None:
         return v / (1.0 + t * weight)
-    r = np.multiply(t * weight, b)
-    if r.dtype is not _FLOAT64:
-        # adding a float64 v into a narrower r would round the sum
-        r = r.astype(np.float64)
-    np.add(v, r, out=r)
-    r /= 1.0 + t * weight
-    return r
+    return (v + t * weight * b) / (1.0 + t * weight)
 
 
 # sqrt(a*a + b*b) is within two ulp of np.hypot and several times faster,

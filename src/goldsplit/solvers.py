@@ -91,7 +91,7 @@ class SolverConfig:
         """Growth factor: defaults to 1/psi + 1/psi^2 when unset."""
         if self.rho is not None:
             return self.rho
-        return _rho_cap(self.psi)
+        return 1.0 / self.psi + 1.0 / self.psi**2
 
 
 def pgrpda_mu_bound(psi):
@@ -104,23 +104,6 @@ def _finite_positive(value):
     return math.isfinite(value) and value > 0
 
 
-def _psi_bound(bound, psi):
-    """bound(psi), or NaN where its float arithmetic fails.
-
-    A psi far outside its range can underflow psi^2 to 0 or overflow it.
-    NaN fails every bound, so the config is still rejected with a message.
-    """
-    try:
-        return bound(psi)
-    except (ZeroDivisionError, OverflowError):
-        return math.nan
-
-
-def _rho_cap(psi):
-    """The largest growth factor for psi: 1/psi + 1/psi^2."""
-    return 1.0 / psi + 1.0 / psi**2
-
-
 def _check_golden_psi(config):
     if not (1.0 < config.psi <= GOLDEN + 1e-12):
         yield f"{config.algorithm}: psi must lie in (1, {GOLDEN:.6f}] (got {config.psi})"
@@ -131,15 +114,17 @@ def _check_pgrpda(config):
     if not _finite_positive(mup):
         yield f"pgrpda: mu_prime must be finite and positive (got {mup})"
     if config.extended:
-        if not (1.0 < psi < 1.0 + math.sqrt(3.0)):
+        psi_ok = 1.0 < psi < 1.0 + math.sqrt(3.0)
+        if not psi_ok:
             yield f"pgrpda extended: psi must lie in (1, {1 + math.sqrt(3):.6f}) (got {psi})"
         if not (3.0 * mup < mu):
             yield f"pgrpda extended: need 3*mu_prime < mu (got {3 * mup} vs {mu})"
-        bound = _psi_bound(pgrpda_mu_bound, psi)
-        if not (mu < bound + _REGION_TOL):
+        # the bound is checked only on a psi in range: far outside it psi^2
+        # may overflow, and the psi violation is reported already
+        if psi_ok and not (mu < pgrpda_mu_bound(psi) + _REGION_TOL):
             yield (
                 f"pgrpda extended: need mu < psi/2 + psi(1+psi-psi^2)/(2(psi+1)) "
-                f"= {bound:.6f} (got {mu})"
+                f"= {pgrpda_mu_bound(psi):.6f} (got {mu})"
             )
     else:
         yield from _check_golden_psi(config)
@@ -151,14 +136,17 @@ def _check_pgrpda(config):
 
 def _check_growth(config):
     """psi, the growth factor, theta0 and the cap of a stepsize that may grow."""
-    yield from _check_golden_psi(config)
+    psi_violations = list(_check_golden_psi(config))
+    yield from psi_violations
     alg = config.algorithm
-    rho_cap = _psi_bound(_rho_cap, config.psi)
-    if config.rho is not None and not (0.0 < config.rho <= rho_cap + 1e-12):
-        yield (
-            f"{alg}: rho must lie in (0, 1/psi + 1/psi^2] = (0, {rho_cap:.6f}] "
-            f"(got {config.rho})"
-        )
+    # rho's cap is checked only on a psi in range, as in _check_pgrpda
+    if config.rho is not None and not psi_violations:
+        rho_cap = 1.0 / config.psi + 1.0 / config.psi**2
+        if not (0.0 < config.rho <= rho_cap + 1e-12):
+            yield (
+                f"{alg}: rho must lie in (0, 1/psi + 1/psi^2] = (0, {rho_cap:.6f}] "
+                f"(got {config.rho})"
+            )
     if not _finite_positive(config.theta0):
         yield f"{alg}: theta0 must be finite and positive (got {config.theta0})"
     if not math.isfinite(config.tau_max):
@@ -278,11 +266,6 @@ def aegrpda_tau_update(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_ma
     """
     if tau_prev <= 0 or theta_prev <= 0:
         raise ParameterError("tau_prev and theta_prev must be positive")
-    return _aegrpda_tau(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_max)
-
-
-def _aegrpda_tau(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_max):
-    """aegrpda_tau_update without the argument checks."""
     candidates = [rho * tau_prev, tau_max]
     if L_n is not None:
         denom = 9.0 * (L_n**2 + beta * psi * (K_norm * K_norm)) * tau_prev
@@ -414,9 +397,9 @@ def _adaptive_policy(state, config, ndx, x_new, Kx_new, grad_new):
     if config.K_norm is None:
         raise ParameterError("aegrpda needs K_norm; pass it in the config or use run_solver")
     L = None if _negligible(ndx, x_new) else _local_lipschitz(_grad_change(state, grad_new), ndx)
-    tau_new, theta_new = _aegrpda_tau(state.tau, state.theta, L, config.K_norm,
-                                      config.beta, config.psi, config.effective_rho,
-                                      config.tau_max)
+    tau_new, theta_new = aegrpda_tau_update(state.tau, state.theta, L, config.K_norm,
+                                            config.beta, config.psi, config.effective_rho,
+                                            config.tau_max)
     return tau_new, config.beta * tau_new, theta_new, L
 
 
@@ -684,10 +667,6 @@ def run_solver(
     k_norm = _resolve_k_norm(problem, config)
     if k_norm is not None and config.K_norm is None:
         config = dataclasses.replace(config, K_norm=k_norm)
-    if config.rho is None and SCHEMES[config.algorithm].check is _check_growth:
-        # the growth factor of a stepsize that may grow, resolved once, not
-        # at every step
-        config = dataclasses.replace(config, rho=config.effective_rho)
     messages = _stepsize_messages(problem, config, k_norm)
     for msg in messages:
         warnings.warn(msg, StepsizeWarning, stacklevel=2)

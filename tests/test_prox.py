@@ -398,92 +398,17 @@ def test_smooth_oracle_accepts_operator(rng):
 
 
 # ---------------------------------------------------------------------------
-# in-place proxes: the bytes of the plain expressions they replace
+# the closed-form proxes as public functions
 
 
-def _old_prox_l1(v, t, lam):
-    return np.sign(v) * np.maximum(np.abs(v) - t * lam, 0.0)
-
-
-def _old_prox_sq_l2(v, t, weight=1.0, b=None):
-    if b is None:
-        return v / (1.0 + t * weight)
-    return (v + t * weight * b) / (1.0 + t * weight)
-
-
-def _nan_with(bits):
-    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
-
-
-# signed zeros, NaNs of both signs and two payloads, infinities, subnormals
-_SPECIAL = np.array([
-    0.0, -0.0, np.nan, -np.nan, _nan_with(0x7FF8000000000123), _nan_with(0xFFF8000000000456),
-    np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 0.3, -0.3, 1.5, -2.5, 1e308, -1e308,
-])
-_STEPS = [0.0, 0.7, 1.0, np.inf, np.nan]
-
-
-def _same_bytes(got, expect):
-    assert got.dtype == expect.dtype and got.shape == expect.shape
-    assert got.tobytes() == expect.tobytes()
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("t", _STEPS)
-@pytest.mark.parametrize("lam", [0.0, 0.25, 1.3, np.inf])
-def test_prox_l1_bytes_match_plain_expression(t, lam):
-    rng = np.random.default_rng(5)
-    for v in (_SPECIAL, rng.standard_normal(100), rng.standard_normal(30976)):
-        _same_bytes(prox_l1(v, t, lam), _old_prox_l1(v, t, lam))
-        _same_bytes(L1Prox(lam).prox(v, t), _old_prox_l1(v, t, lam))
-
-
-def test_prox_l1_accepts_integer_arrays_and_lists():
-    for v in (np.array([3, -2, 0, 7]), [3, -2, 0, 7], [0.5, -4.0]):
-        for t, lam in ((1, 2), (0, 5), (0.5, 1.0), (1.0, 0)):
-            _same_bytes(prox_l1(v, t, lam), _old_prox_l1(v, t, lam))
-    # the input is never written to
-    v = np.array([1.0, -2.0])
-    prox_l1(v, 1.0, 0.5)
-    assert v.tolist() == [1.0, -2.0]
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("t", _STEPS)
-@pytest.mark.parametrize("weight", [0.5, 1.0, 3.0, np.inf])
-def test_prox_sq_l2_bytes_match_plain_expression(t, weight):
-    # every pairing of the special values between v and the offset b
-    v = np.tile(_SPECIAL, len(_SPECIAL))
-    b = np.repeat(_SPECIAL, len(_SPECIAL))
-    rng = np.random.default_rng(6)
-    cases = [(v, b), (v, None), (rng.standard_normal(50), rng.standard_normal(50)),
-             (rng.standard_normal(30976), None)]
-    for v, b in cases:
-        _same_bytes(prox_sq_l2(v, t, weight, b), _old_prox_sq_l2(v, t, weight, b))
-        if np.isfinite(weight):
-            _same_bytes(SquaredL2Prox(weight, b).prox(v, t), _old_prox_sq_l2(v, t, weight, b))
-
-
-def test_prox_sq_l2_accepts_integer_arrays_and_lists():
-    b = np.array([1.0, -2.0, 0.5])
-    for v in (np.array([3, -2, 0]), [3, -2, 0], [0.5, -4.0, 1.0]):
-        for t, weight in ((1, 2), (0, 1), (0.5, 1.0)):
-            _same_bytes(prox_sq_l2(v, t, weight, b), _old_prox_sq_l2(v, t, weight, b))
-    # integer offset and step: the plain expression sums in integers first
-    v, b_int = np.array([3, -2, 0]), np.array([1, 4, -6])
-    _same_bytes(prox_sq_l2(v, 1, 2, b_int), _old_prox_sq_l2(v, 1, 2, b_int))
-    _same_bytes(prox_sq_l2(v.astype(float), 1, 2, b_int),
-                _old_prox_sq_l2(v.astype(float), 1, 2, b_int))
-    # neither input is written to
+def test_closed_form_proxes_take_scalars_broadcast_offsets_and_float32():
+    assert prox_l1(3.0, 1.0, 0.5) == 2.5
+    assert prox_l1(np.float64(-3.0), 1.0, 0.5) == -2.5
+    assert prox_sq_l2(2.0, 1.0, 1.0, 4.0) == 3.0
     v = np.array([1.0, 2.0, 3.0])
-    prox_sq_l2(v, 1.0, 1.0, b)
-    assert v.tolist() == [1.0, 2.0, 3.0] and b.tolist() == [1.0, -2.0, 0.5]
-
-
-def test_in_place_proxes_keep_their_checks():
-    with pytest.raises(ParameterError):
-        prox_sq_l2(np.zeros(2), -1.0, 1.0, np.zeros(2))
-    with pytest.raises(ParameterError):
-        prox_sq_l2(np.zeros(2), 1.0, 0.0, np.zeros(2))
-    with pytest.raises(ParameterError):
-        L1Prox(1.0).prox(np.zeros(2), -1.0)
+    for b in (2.0, np.array([2.0])):
+        assert np.array_equal(SquaredL2Prox(1.0, b).prox(v, 1.0), (v + 2.0) / 2.0)
+    v32, b32 = v.astype(np.float32), np.ones(3, dtype=np.float32)
+    assert prox_l1(v32, 1.0, 0.5).dtype == np.float32
+    assert prox_sq_l2(v32, 1.0, 2.0, b32).dtype == np.float32
+    assert prox_sq_l2(v32, 1.0, 2.0).dtype == np.float32

@@ -438,29 +438,6 @@ def test_agraal_reused_step_norm_matches_a_fresh_one(monkeypatch, smooth):
         assert trace.column(name).tobytes() == trace_f.column(name).tobytes()
 
 
-def test_aegrpda_unchecked_update_matches_checked_one():
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        tau, theta, k = rng.uniform(1e-3, 10.0, 3)
-        L = None if rng.random() < 0.2 else float(rng.uniform(0.0, 5.0))
-        args = (float(tau), float(theta), L, float(k), 0.3, 1.5, 1.1, 50.0)
-        assert solvers._aegrpda_tau(*args) == aegrpda_tau_update(*args)
-
-
-def test_run_solver_resolves_the_growth_factor_once():
-    problem = gen_lasso(20, 40, 3, seed=2)
-    seen = []
-    for rho in (None, 1.0 / 1.5 + 1.0 / 1.5**2):
-        cfg = SolverConfig("aegrpda", tau0=1.0, psi=1.5, rho=rho, max_iters=50)
-        state, trace, _ = run_solver(problem, cfg, record_time=False)
-        seen.append((state.x.tobytes(), trace.column("tau").tobytes()))
-    assert seen[0] == seen[1]
-    # a scheme that never grows its stepsize does not read psi or rho
-    state, _, _ = run_solver(problem, SolverConfig("pdhg", tau=0.05, sigma=0.05, psi=0.0,
-                                                   max_iters=5))
-    assert state.n == 5
-
-
 def test_aegrpda_bounds_with_nonzero_curvature():
     # derived bounds must hold when the local curvature estimate is positive
     from goldsplit.linops import estimate_operator_norm
