@@ -7,7 +7,9 @@ horizontal differences first, then vertical differences.
 
 from __future__ import annotations
 
+import inspect
 import math
+from types import MethodType
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +30,69 @@ def vector_norm(v):
     return math.sqrt(v.dot(v))
 
 
+# id of a code object -> (the code, index of ``out`` among its positional
+# parameters or None)
+_OUT_SLOTS = {}
+
+
+def _signature_out_slot(method):
+    try:
+        params = inspect.signature(method).parameters.values()
+    except (TypeError, ValueError):
+        return None
+    positional = [p.name for p in params
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    return positional.index("out") if "out" in positional else None
+
+
+def takes_out(method, n_args):
+    """Whether ``method(*args, out)`` with ``n_args`` arguments passes ``out`` as ``out``.
+
+    A method counts only when it names a positional ``out`` parameter right
+    after its arguments, as the oracles of this package do. For a Python
+    function or method this is read from its code once per function and
+    cached; any other callable (a partial, a builtin) has its signature
+    inspected on each call.
+    """
+    code = getattr(method, "__code__", None)
+    if code is None:
+        return _signature_out_slot(method) == n_args
+    entry = _OUT_SLOTS.get(id(code))
+    if entry is None:
+        positional = code.co_varnames[: code.co_argcount]
+        slot = positional.index("out") if "out" in positional else None
+        # the entry keeps the code object alive, so its id is not reused
+        entry = _OUT_SLOTS[id(code)] = (code, slot)
+    slot = entry[1]
+    # a bound method's code counts its self as well
+    return slot is not None and slot - (type(method) is MethodType) == n_args
+
+
+def writer(method, n_args):
+    """``method`` as a callable ``write(*args, out)`` that fills ``out`` and returns it.
+
+    An oracle method that takes ``out`` (see ``takes_out``) is returned
+    as it is. Any other, a duck-typed oracle's for instance, is called as
+    ``method(*args)`` and its result copied into ``out``.
+    """
+    if takes_out(method, n_args):
+        return method
+
+    def write(*args):
+        np.copyto(args[-1], method(*args[:-1]))
+        return args[-1]
+
+    return write
+
+
+def into(out, value):
+    """``value`` when ``out`` is None, else ``value`` copied into ``out``."""
+    if out is None:
+        return value
+    np.copyto(out, value)
+    return out
+
+
 class Shape(NamedTuple):
     """Operator dimensions: x lives in R^domain_dim, Kx in R^codomain_dim."""
 
@@ -41,6 +106,9 @@ class LinearOperator:
     Subclasses implement ``matvec`` (K x) and ``rmatvec`` (K* y) and must
     satisfy the adjoint identity <Kx, y> == <x, K*y>. Operators are immutable
     after construction; both applications are read-only and reentrant.
+    Both take an optional ``out``, a float64 vector of the result's length
+    that must not overlap the input: as with numpy ufuncs, the result is
+    written there and ``out`` is returned.
     """
 
     kind = "abstract"
@@ -54,10 +122,10 @@ class LinearOperator:
         self._domain_shape = (shape.domain_dim,)
         self._codomain_shape = (shape.codomain_dim,)
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         raise NotImplementedError
 
-    def rmatvec(self, y):
+    def rmatvec(self, y, out=None):
         raise NotImplementedError
 
     def exact_norm(self):
@@ -100,15 +168,20 @@ class DenseOperator(LinearOperator):
         self._matrix_t = matrix.T
         super().__init__(Shape(matrix.shape[1], matrix.shape[0]))
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         if x.shape != self._domain_shape:
             self._check_domain(x)
-        return self.matrix @ x
+        # @ costs less than matmul's out argument, which only pays with an out
+        if out is None:
+            return self.matrix @ x
+        return np.matmul(self.matrix, x, out)
 
-    def rmatvec(self, y):
+    def rmatvec(self, y, out=None):
         if y.shape != self._codomain_shape:
             self._check_codomain(y)
-        return self._matrix_t @ y
+        if out is None:
+            return self._matrix_t @ y
+        return np.matmul(self._matrix_t, y, out)
 
 
 class CsrOperator(LinearOperator):
@@ -142,13 +215,13 @@ class CsrOperator(LinearOperator):
     def nnz(self):
         return self._mat.nnz
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         self._check_domain(x)
-        return self._mat @ x
+        return into(out, self._mat @ x)
 
-    def rmatvec(self, y):
+    def rmatvec(self, y, out=None):
         self._check_codomain(y)
-        return self._mat_t @ y
+        return into(out, self._mat_t @ y)
 
 
 def csr_from_triplets(n_rows, n_cols, triplets):
@@ -178,13 +251,13 @@ class IdentityOperator(LinearOperator):
     def __init__(self, n):
         super().__init__(Shape(n, n))
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         self._check_domain(x)
-        return x
+        return into(out, x)
 
-    def rmatvec(self, y):
+    def rmatvec(self, y, out=None):
         self._check_codomain(y)
-        return y
+        return into(out, y)
 
     def exact_norm(self):
         return 1.0 if self.shape.domain_dim > 0 else 0.0
@@ -201,13 +274,16 @@ class FirstDifference(LinearOperator):
         self.n = n
         super().__init__(Shape(n, n - 1))
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         self._check_domain(x)
-        return x[1:] - x[:-1]
+        return np.subtract(x[1:], x[:-1], out)
 
-    def rmatvec(self, y):
+    def rmatvec(self, y, out=None):
         self._check_codomain(y)
-        out = np.zeros(self.n)
+        if out is None:
+            out = np.zeros(self.n)
+        else:
+            out.fill(0.0)
         out[:-1] -= y
         out[1:] += y
         return out
@@ -279,12 +355,12 @@ class GramOperator(LinearOperator):
         n = inner.shape.domain_dim
         super().__init__(Shape(n, n))
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         self._check_domain(x)
-        return self.inner.rmatvec(self.inner.matvec(x))
+        return into(out, self.inner.rmatvec(self.inner.matvec(x)))
 
-    def rmatvec(self, y):
-        return self.matvec(y)
+    def rmatvec(self, y, out=None):
+        return self.matvec(y, out)
 
     def exact_norm(self):
         # ||D^T D|| = ||D||^2
@@ -317,30 +393,37 @@ class DiscreteGradient2D(LinearOperator):
         self.cols = cols
         super().__init__(Shape(rows * cols, 2 * rows * cols))
 
-    def matvec(self, x):
+    def matvec(self, x, out=None):
         self._check_domain(x)
-        u = x.reshape(self.rows, self.cols)
-        out = np.empty((2, self.rows, self.cols), dtype=u.dtype)
-        gh, gv = out
-        np.subtract(u[:, 1:], u[:, :-1], out=gh[:, :-1])
-        gh[:, -1] = 0.0
-        np.subtract(u[1:, :], u[:-1, :], out=gv[:-1, :])
-        gv[-1, :] = 0.0
-        return out.ravel()
+        p, cols = x.size, self.cols
+        if out is None:
+            out = np.empty(2 * p, dtype=x.dtype)
+        # flat differences: the pairs that cross a row end fall on the last
+        # column, which is then zeroed (in an overflowing run they can add
+        # a numpy warning of their own)
+        np.subtract(x[1:], x[:-1], out=out[: p - 1])
+        out[cols - 1 : p : cols] = 0.0
+        np.subtract(x[cols:], x[:-cols], out=out[p : 2 * p - cols])
+        out[2 * p - cols :] = 0.0
+        return out
 
-    def rmatvec(self, y):
+    def rmatvec(self, y, out=None):
         self._check_codomain(y)
-        p = self.rows * self.cols
-        yh = y[:p].reshape(self.rows, self.cols)
-        yv = y[p:].reshape(self.rows, self.cols)
-        out = np.empty((self.rows, self.cols))
+        p, cols = self.rows * self.cols, self.cols
+        yh, yv = y[:p], y[p:]
+        if out is None:
+            out = np.empty(p)
         # 0 - a, not -a: the sign of a zero entry must match a zero-filled start
-        out[:, -1] = 0.0
-        np.subtract(0.0, yh[:, :-1], out=out[:, :-1])
-        out[:, 1:] += yh[:, :-1]
-        out[:-1, :] -= yv[:-1, :]
-        out[1:, :] += yv[:-1, :]
-        return out.ravel()
+        np.subtract(0.0, yh, out=out)
+        out[cols - 1 :: cols] = 0.0
+        if cols > 1:
+            # flat as in matvec: the sums that cross a row end land on
+            # column 0 of the next row, which is then computed again
+            np.add(out[1:], yh[:-1], out=out[1:])
+            np.subtract(0.0, yh[cols::cols], out=out[cols::cols])
+        out[: p - cols] -= yv[: p - cols]
+        out[cols:] += yv[: p - cols]
+        return out
 
     def exact_norm(self):
         return _grid_norm(self.rows, self.cols)

@@ -369,7 +369,14 @@ def gen_graphnet(
     n = n1 * n2
     k = int(np.floor(sparsity_fraction * n))
     if k == 0:
-        raise ParameterError("sparsity_fraction keeps zero entries")
+        smallest = 1.0 / n
+        while np.floor(smallest * n) < 1.0:  # 1/n can round to just below it
+            smallest = np.nextafter(smallest, 1.0)
+        raise ParameterError(
+            f"sparsity_fraction {sparsity_fraction} keeps no entry of the {n1}x{n2} "
+            f"grid's {n} nodes; the smallest fraction that keeps one is 1/{n}: "
+            f"{float(smallest)!r}"
+        )
     rng = np.random.default_rng(seed)
     W = graph_laplacian(GridIncidence(n1, n2))
     x0 = rng.standard_normal(n)

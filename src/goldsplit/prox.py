@@ -6,6 +6,12 @@ identity. Conjugate proxes are always derived through the Moreau
 decomposition (``moreau_conjugate_prox``) rather than hand-coded per
 function. Smooth oracles expose ``value``, ``grad`` and a cached gradient
 Lipschitz bound ``lipschitz()``.
+
+``prox``, ``grad`` and the public prox functions take an optional ``out``,
+a float64 array of the result's shape: as with numpy ufuncs, the result is
+written there and ``out`` is returned. ``out`` may be the input itself but
+must not otherwise overlap it. Without ``out`` every result is a new array
+computed as before, for any input numpy broadcasts.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, DimensionError, ParameterError
-from .linops import DenseOperator, operator_norm
+from .linops import DenseOperator, into, operator_norm
 
 
 def _check_step(t, lam=0.0):
@@ -22,20 +28,35 @@ def _check_step(t, lam=0.0):
         raise ParameterError("prox step and regularization weight must be >= 0")
 
 
-def prox_l1(v, t, lam):
+def prox_l1(v, t, lam, out=None):
     """Soft thresholding: sign(v_i) * max(|v_i| - t*lam, 0)."""
     _check_step(t, lam)
-    return np.sign(v) * np.maximum(np.abs(v) - t * lam, 0.0)
+    if out is None:
+        return np.sign(v) * np.maximum(np.abs(v) - t * lam, 0.0)
+    sign = np.sign(v)
+    np.abs(v, out)
+    np.subtract(out, t * lam, out)
+    np.maximum(out, 0.0, out=out)
+    return np.multiply(sign, out, out)
 
 
-def prox_sq_l2(v, t, weight=1.0, b=None):
+def prox_sq_l2(v, t, weight=1.0, b=None, out=None):
     """Prox of weight/2 * ||. - b||^2, closed form (v + t*weight*b) / (1 + t*weight)."""
     _check_step(t)
     if weight <= 0:
         raise ParameterError("weight must be positive")
+    if out is None:
+        if b is None:
+            return v / (1.0 + t * weight)
+        return (v + t * weight * b) / (1.0 + t * weight)
     if b is None:
-        return v / (1.0 + t * weight)
-    return (v + t * weight * b) / (1.0 + t * weight)
+        return np.divide(v, 1.0 + t * weight, out)
+    if out is v:
+        np.add(v, t * weight * b, out)
+    else:
+        np.multiply(t * weight, b, out)
+        np.add(v, out, out)
+    return np.divide(out, 1.0 + t * weight, out)
 
 
 # sqrt(a*a + b*b) is within two ulp of np.hypot and several times faster,
@@ -61,7 +82,7 @@ def _pixel_norms(u, fast=True):
     return np.hypot(u[0], u[1])
 
 
-def prox_group_l21(v, t, lam, n_pixels):
+def prox_group_l21(v, t, lam, n_pixels, out=None):
     """Pixelwise shrinkage of a 2-channel field toward the group-l21 ball.
 
     The field stacks n_pixels horizontal components before n_pixels
@@ -76,19 +97,27 @@ def prox_group_l21(v, t, lam, n_pixels):
     u = v.reshape(2, n_pixels)
     threshold = t * lam
     # a pixel whose squares underflow has a norm far below a threshold
-    # above _SQRT_NORM_MIN, so it is zeroed whichever way its norm is taken
+    # above _SQRT_NORM_MIN, so it is zeroed whichever way its norm is taken;
+    # besides v and the result, at most two arrays of n_pixels entries
+    # (the norms and a square, then the norms and the scale) are alive
     norms = _pixel_norms(u, fast=threshold > _SQRT_NORM_MIN)
     if not 0.0 < threshold < np.inf:
         # scale 1 where the norm exceeds the threshold, else 0; a NaN
         # pixel's finite partner entry is zeroed
-        return (u * (norms > threshold)).ravel()
-    # raising each norm to at least the threshold keeps the ratio in (0, 1],
-    # avoids overflow on subnormal pixel norms, and gives a NaN pixel the
-    # scale 0 (fmax ignores NaN)
-    scale = np.fmax(norms, threshold)
-    np.divide(threshold, scale, out=scale)
-    np.subtract(1.0, scale, out=scale)
-    return (u * scale).ravel()
+        scale = norms > threshold
+    else:
+        # raising each norm to at least the threshold keeps the ratio in
+        # (0, 1], avoids overflow on subnormal pixel norms, and gives a NaN
+        # pixel the scale 0 (fmax ignores NaN)
+        scale = np.fmax(norms, threshold)
+        np.divide(threshold, scale, out=scale)
+        np.subtract(1.0, scale, out=scale)
+    if out is None:
+        return (u * scale).ravel()
+    # channel by channel: a broadcast (2, n) product would take iteration buffers
+    np.multiply(u[0], scale, out[:n_pixels])
+    np.multiply(u[1], scale, out[n_pixels:])
+    return out
 
 
 class ProxOracle:
@@ -99,7 +128,7 @@ class ProxOracle:
     def value(self, v):
         raise NotImplementedError
 
-    def prox(self, v, t):
+    def prox(self, v, t, out=None):
         raise NotImplementedError
 
 
@@ -111,9 +140,9 @@ class ZeroProx(ProxOracle):
     def value(self, v):
         return 0.0
 
-    def prox(self, v, t):
+    def prox(self, v, t, out=None):
         _check_step(t)
-        return v
+        return into(out, v)
 
 
 class L1Prox(ProxOracle):
@@ -129,8 +158,8 @@ class L1Prox(ProxOracle):
     def value(self, v):
         return self.lam * float(np.abs(v).sum())
 
-    def prox(self, v, t):
-        return prox_l1(v, t, self.lam)
+    def prox(self, v, t, out=None):
+        return prox_l1(v, t, self.lam, out)
 
 
 class GroupL21Prox(ProxOracle):
@@ -155,8 +184,8 @@ class GroupL21Prox(ProxOracle):
             total = float(_pixel_norms(u, fast=False).sum())
         return self.lam * total
 
-    def prox(self, v, t):
-        return prox_group_l21(v, t, self.lam, self.n_pixels)
+    def prox(self, v, t, out=None):
+        return prox_group_l21(v, t, self.lam, self.n_pixels, out)
 
 
 class SquaredL2Prox(ProxOracle):
@@ -176,8 +205,8 @@ class SquaredL2Prox(ProxOracle):
         d = v if self.offset is None else v - self.offset
         return 0.5 * self.weight * float(d @ d)
 
-    def prox(self, v, t):
-        return prox_sq_l2(v, t, self.weight, self.offset)
+    def prox(self, v, t, out=None):
+        return prox_sq_l2(v, t, self.weight, self.offset, out)
 
 
 def moreau_conjugate_prox(g, v, sigma):
@@ -201,7 +230,7 @@ class SmoothOracle:
     def value(self, x):
         raise NotImplementedError
 
-    def grad(self, x):
+    def grad(self, x, out=None):
         raise NotImplementedError
 
     def lipschitz(self):
@@ -217,8 +246,11 @@ class ZeroSmooth(SmoothOracle):
     def value(self, x):
         return 0.0
 
-    def grad(self, x):
-        return np.zeros_like(x)
+    def grad(self, x, out=None):
+        if out is None:
+            return np.zeros_like(x)
+        out.fill(0.0)
+        return out
 
     def lipschitz(self):
         return 0.0
@@ -245,8 +277,8 @@ class LeastSquares(SmoothOracle):
         r = self.A.matvec(x) - self.b
         return 0.5 * self.scale * float(r @ r)
 
-    def grad(self, x):
-        return self.scale * self.A.rmatvec(self.A.matvec(x) - self.b)
+    def grad(self, x, out=None):
+        return np.multiply(self.scale, self.A.rmatvec(self.A.matvec(x) - self.b), out)
 
     def lipschitz(self):
         if self._op_norm is None:
@@ -272,8 +304,9 @@ class MaskedLeastSquares(SmoothOracle):
         r = self.mask * (x - self.b)
         return 0.5 * float(r @ r)
 
-    def grad(self, x):
-        return self.mask * (x - self.b)
+    def grad(self, x, out=None):
+        r = np.subtract(x, self.b, out)
+        return np.multiply(self.mask, r, r)
 
     def lipschitz(self):
         return 1.0
@@ -304,10 +337,10 @@ class Logistic(SmoothOracle):
         margins = self.labels * self.A.matvec(x)
         return float(np.logaddexp(0.0, -margins).sum())
 
-    def grad(self, x):
+    def grad(self, x, out=None):
         margins = self.labels * self.A.matvec(x)
         s = expit(-margins)
-        return -self.A.rmatvec(self.labels * s)
+        return np.negative(self.A.rmatvec(self.labels * s), out)
 
     def lipschitz(self):
         if self._op_norm is None:
@@ -332,8 +365,13 @@ class QuadraticRidge(SmoothOracle):
         r = self.A.matvec(x) - self.b
         return 0.5 * float(r @ r) + 0.5 * self.ridge * float(x @ x)
 
-    def grad(self, x):
-        return self.A.rmatvec(self.A.matvec(x) - self.b) + self.ridge * x
+    def grad(self, x, out=None):
+        g = self.A.rmatvec(self.A.matvec(x) - self.b)
+        if out is None:
+            return g + self.ridge * x
+        # x is read before out is written, so out may be x
+        np.multiply(self.ridge, x, out)
+        return np.add(g, out, out)
 
     def lipschitz(self):
         if self._op_norm is None:
@@ -352,11 +390,11 @@ class SumSmooth(SmoothOracle):
     def value(self, x):
         return sum(p.value(x) for p in self.parts)
 
-    def grad(self, x):
+    def grad(self, x, out=None):
         g = np.zeros_like(x)
         for p in self.parts:
             g = g + p.grad(x)
-        return g
+        return into(out, g)
 
     def lipschitz(self):
         return sum(p.lipschitz() for p in self.parts)

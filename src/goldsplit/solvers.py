@@ -14,16 +14,22 @@ golden-ratio schemes are one step (``_golden_step``) under a stepsize policy:
 gradient-aware extension ``condat_vu`` share one step and differ only in
 their stepsize region; ``agraal`` is the fully adaptive golden-ratio scheme
 on the joint primal-dual vector field. ``SCHEMES`` holds one record per
-algorithm: step, policy, parameter checks and region warnings.
+algorithm: step, policy, parameter checks and region warnings (the rules,
+checks and warnings themselves are in ``stepsizes``).
 
 Every scheme materializes the auxiliary variable w (the g-block of the
 splitting constraint Kx = w) so the constraint residual of the running
 ergodic averages is uniformly reportable.
+
+A run allocates its arrays once: ``init_state`` carves the state and every
+buffer the steps write into from one float64 block (see ``Workspace``), and
+the steps and the run loop write through ``out`` from then on.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -39,15 +45,27 @@ from .errors import (
     ParameterError,
     StepsizeWarning,
 )
-from .linops import operator_norm, vector_norm as _norm
+from .linops import operator_norm, vector_norm as _norm, writer
 from .metrics import IterationTrace, constraint_violation, objective, psnr
 from .prox import ZeroSmooth
-
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-# Tolerance on the strict parameter-region inequalities: published tuned
-# values sit within rounding distance of the bounds.
-_REGION_TOL = 1e-5
+from .stepsizes import (  # noqa: F401  (GOLDEN and the public rules are re-exported)
+    GOLDEN,
+    _check_golden_psi,
+    _check_growth,
+    _check_pgrpda,
+    _condat_vu_region,
+    _egrpda_region,
+    _finite_positive,
+    _grpda_region,
+    _local_lipschitz,
+    _pdhg_region,
+    _pgrpda_tau,
+    aegrpda_tau_update,
+    eta_bound,
+    local_lipschitz,
+    pgrpda_mu_bound,
+    pgrpda_tau_update,
+)
 
 # Steps below this relative size are float64 rounding noise; difference
 # ratios computed from them are meaningless, so the zero-step convention
@@ -92,67 +110,6 @@ class SolverConfig:
         if self.rho is not None:
             return self.rho
         return 1.0 / self.psi + 1.0 / self.psi**2
-
-
-def pgrpda_mu_bound(psi):
-    """Upper bound on mu for the extended pgrpda region at a given psi."""
-    return psi / 2.0 + psi * (1.0 + psi - psi**2) / (2.0 * (psi + 1.0))
-
-
-def _finite_positive(value):
-    """The rejecting form of 0 < value < inf: False for NaN and +-inf."""
-    return math.isfinite(value) and value > 0
-
-
-def _check_golden_psi(config):
-    if not (1.0 < config.psi <= GOLDEN + 1e-12):
-        yield f"{config.algorithm}: psi must lie in (1, {GOLDEN:.6f}] (got {config.psi})"
-
-
-def _check_pgrpda(config):
-    mu, mup, psi = config.mu, config.mu_prime, config.psi
-    if not _finite_positive(mup):
-        yield f"pgrpda: mu_prime must be finite and positive (got {mup})"
-    if config.extended:
-        psi_ok = 1.0 < psi < 1.0 + math.sqrt(3.0)
-        if not psi_ok:
-            yield f"pgrpda extended: psi must lie in (1, {1 + math.sqrt(3):.6f}) (got {psi})"
-        if not (3.0 * mup < mu):
-            yield f"pgrpda extended: need 3*mu_prime < mu (got {3 * mup} vs {mu})"
-        # the bound is checked only on a psi in range: far outside it psi^2
-        # may overflow, and the psi violation is reported already
-        if psi_ok and not (mu < pgrpda_mu_bound(psi) + _REGION_TOL):
-            yield (
-                f"pgrpda extended: need mu < psi/2 + psi(1+psi-psi^2)/(2(psi+1)) "
-                f"= {pgrpda_mu_bound(psi):.6f} (got {mu})"
-            )
-    else:
-        yield from _check_golden_psi(config)
-        if not (2.0 * mup < mu):
-            yield f"pgrpda: need 2*mu_prime < mu (got {2 * mup} vs {mu})"
-        if not (mu < psi / 2.0 + _REGION_TOL):
-            yield f"pgrpda: need mu < psi/2 = {psi / 2.0} (got {mu})"
-
-
-def _check_growth(config):
-    """psi, the growth factor, theta0 and the cap of a stepsize that may grow."""
-    psi_violations = list(_check_golden_psi(config))
-    yield from psi_violations
-    alg = config.algorithm
-    # rho's cap is checked only on a psi in range, as in _check_pgrpda
-    if config.rho is not None and not psi_violations:
-        rho_cap = 1.0 / config.psi + 1.0 / config.psi**2
-        if not (0.0 < config.rho <= rho_cap + 1e-12):
-            yield (
-                f"{alg}: rho must lie in (0, 1/psi + 1/psi^2] = (0, {rho_cap:.6f}] "
-                f"(got {config.rho})"
-            )
-    if not _finite_positive(config.theta0):
-        yield f"{alg}: theta0 must be finite and positive (got {config.theta0})"
-    if not math.isfinite(config.tau_max):
-        yield f"{alg}: tau_max must be finite (got {config.tau_max})"
-    elif config.tau0 > 0 and not (config.tau_max > config.tau0):
-        yield f"{alg}: tau_max must exceed tau0 (got {config.tau_max} <= {config.tau0})"
 
 
 def config_violations(config):
@@ -201,81 +158,6 @@ def validate_config(config):
     return config
 
 
-def eta_bound(tau0, mu, mu_prime, beta, K_norm, L_bar):
-    """Lower bound min{tau0, mu/(sqrt(beta)||K||), mu'/L} on the pgrpda stepsize.
-
-    Zero ``K_norm`` or ``L_bar`` removes the corresponding term (the 1/0 =
-    infinity convention).
-    """
-    if tau0 <= 0 or mu <= 0 or mu_prime <= 0 or beta <= 0:
-        raise ParameterError("tau0, mu, mu_prime, beta must be positive")
-    if K_norm < 0 or L_bar < 0:
-        raise ParameterError("K_norm and L_bar must be >= 0")
-    terms = [tau0]
-    if K_norm > 0:
-        terms.append(mu / (math.sqrt(beta) * K_norm))
-    if L_bar > 0:
-        terms.append(mu_prime / L_bar)
-    return min(terms)
-
-
-def pgrpda_tau_update(tau_prev, dx, dKx, dgrad, mu, mu_prime, beta):
-    """Nonincreasing stepsize from local operator and curvature ratios.
-
-    tau = min{tau_prev, mu ||dx|| / (sqrt(beta) ||dKx||), mu' ||dx|| / ||dgrad||},
-    where a vanishing denominator removes its term and a vanishing dx
-    keeps the previous stepsize.
-    """
-    if tau_prev <= 0:
-        raise ParameterError("tau_prev must be positive")
-    return _pgrpda_tau(tau_prev, _norm(dx), _norm(dKx), _norm(dgrad), mu, mu_prime, beta)
-
-
-def _pgrpda_tau(tau_prev, ndx, ndK, ndg, mu, mu_prime, beta):
-    """pgrpda_tau_update from the norms of dx, dKx and dgrad."""
-    if ndx == 0.0:
-        return tau_prev
-    candidates = [tau_prev]
-    if ndK > 0.0:
-        candidates.append(mu * ndx / (math.sqrt(beta) * ndK))
-    if ndg > 0.0:
-        candidates.append(mu_prime * ndx / ndg)
-    return min(candidates)
-
-
-def local_lipschitz(dgrad, dx):
-    """Curvature ratio ||dgrad|| / ||dx||, or None when dx vanishes.
-
-    The None sentinel routes the caller to the growth branch of the
-    adaptive stepsize update.
-    """
-    return _local_lipschitz(_norm(dgrad), _norm(dx))
-
-
-def _local_lipschitz(ndg, ndx):
-    return None if ndx == 0.0 else ndg / ndx
-
-
-def aegrpda_tau_update(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_max):
-    """Adaptive stepsize and ratio update.
-
-    tau = min{rho tau_prev, psi theta_prev / (9 (L^2 + beta psi ||K||^2) tau_prev),
-    tau_max}; the middle branch is skipped when the curvature estimate is
-    undefined (L_n is None) or its denominator vanishes (the 1/0 = infinity
-    convention of eta_bound). Returns (tau, theta) with theta = psi tau / tau_prev.
-    """
-    if tau_prev <= 0 or theta_prev <= 0:
-        raise ParameterError("tau_prev and theta_prev must be positive")
-    candidates = [rho * tau_prev, tau_max]
-    if L_n is not None:
-        denom = 9.0 * (L_n**2 + beta * psi * (K_norm * K_norm)) * tau_prev
-        if denom > 0.0:
-            candidates.append(psi * theta_prev / denom)
-    tau = min(candidates)
-    theta = psi * tau / tau_prev
-    return tau, theta
-
-
 @dataclass
 class SolverState:
     """Mutable per-run state shared by all schemes.
@@ -288,6 +170,11 @@ class SolverState:
     ``w_sum`` add up the iterates of the ``n_avg`` finished iterations;
     the ergodic averages ``x_bar`` and ``w_bar`` divide them when read.
     The aGRAAL fields (y_prev, y_bar, Fx_prev, Fy_prev) stay None elsewhere.
+
+    In a state made by ``init_state`` every array is a view into the run's
+    block, and ``work`` holds the rest of the block and the oracle calls.
+    The steps overwrite these arrays in later iterations, so a callback
+    that keeps one must copy it.
     """
 
     x: np.ndarray
@@ -313,6 +200,7 @@ class SolverState:
     y_bar: np.ndarray = None
     Fx_prev: np.ndarray = None
     Fy_prev: np.ndarray = None
+    work: Workspace | None = None
 
     @property
     def x_bar(self):
@@ -325,53 +213,165 @@ class SolverState:
         return self.w_sum / max(self.n_avg, 1)
 
 
+class Workspace:
+    """A run's spare and scratch views, and the oracle calls that write into views.
+
+    ``init_state`` carves every array of a run from one float64 block: the
+    state's arrays, a spare view for each quantity a step replaces
+    (``x_spare``, ``y_spare``, ``Kx_spare``, ``grad_spare`` when the step
+    adds grad h, and the scheme's own), and the scratch vector
+    ``scratch_n`` of the primal length, with ``scratch_m`` of the dual
+    length for the schemes that need one.
+    A step writes each new quantity into its spare view and, once nothing
+    can raise, swaps it in; the view it replaces becomes the spare (x and
+    aGRAAL's y keep their previous value too, so they rotate through three
+    views). Only w is written in place, after the last check that can
+    abort the step, so a step that raises part-way leaves the state at its
+    last finished iteration.
+
+    ``matvec``, ``rmatvec``, ``f_prox``, ``g_prox`` and ``h_grad`` call the
+    problem's oracles with ``out`` as the last argument (``linops.writer``);
+    ``scheme`` is the run's scheme record.
+    """
+
+    def __init__(self, problem, scheme, views):
+        self.scheme = scheme
+        self.scratch_n = views["scratch_n"]
+        self.x_spare = views["x_spare"]
+        self.y_spare = views["y_spare"]
+        self.Kx_spare = views["Kx_spare"]
+        # the views that only some schemes keep
+        self.scratch_m = views.get("scratch_m")
+        self.grad_spare = views.get("grad_spare")
+        self.z_spare = views.get("z_spare")
+        self.y_bar_spare = views.get("y_bar_spare")
+        self.Fx_spare = views.get("Fx_spare")
+        self.Fy_spare = views.get("Fy_spare")
+        self.matvec = writer(problem.K.matvec, 1)
+        self.rmatvec = writer(problem.K.rmatvec, 1)
+        self.f_prox = writer(problem.f.prox, 2)
+        self.g_prox = writer(problem.g.prox, 2)
+        self.h_grad = writer(problem.h.grad, 1)
+
+
+# The views of every run besides the scheme's own, of the primal length n
+# and of the dual length m.
+_PRIMAL_VIEWS = ("x", "x_prev", "x_spare", "grad_x", "x_sum", "scratch_n")
+_DUAL_VIEWS = ("y", "y_spare", "Kx", "Kx_spare", "w", "w_sum")
+
+
+@functools.lru_cache(maxsize=None)
+def _without_smooth(scheme):
+    return dataclasses.replace(scheme, smooth=False)
+
+
+def _run_scheme(problem, config):
+    """The algorithm's scheme record, with the gradient term off for a ZeroSmooth h."""
+    scheme = SCHEMES[config.algorithm]
+    if isinstance(problem.h, ZeroSmooth):
+        # grad h is identically 0: no scheme needs to call or add it
+        scheme = _without_smooth(scheme)
+    return scheme
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(scheme):
+    """The names of a run's views of length n and of length m, in block order."""
+    primal = _PRIMAL_VIEWS + ("grad_spare",) * scheme.smooth + scheme.primal_views
+    return primal, _DUAL_VIEWS + scheme.dual_views
+
+
 def init_state(problem, config, x0=None, y0=None):
-    """Fresh state at (x0, y0) with z0 = x0 and empty ergodic sums."""
+    """Fresh state at (x0, y0) with z0 = x0 and empty ergodic sums.
+
+    Allocates the run's one block; see ``Workspace``.
+    """
     n = problem.K.shape.domain_dim
     m = problem.K.shape.codomain_dim
-    x0 = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
-    y0 = np.zeros(m) if y0 is None else np.array(y0, dtype=np.float64)
-    if x0.shape != (n,) or y0.shape != (m,):
-        raise ParameterError(
-            f"x0/y0 must have lengths {n}/{m}, got {x0.shape}/{y0.shape}"
-        )
-    scheme = SCHEMES[config.algorithm]
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+    if y0 is not None:
+        y0 = np.asarray(y0, dtype=np.float64)
+    x_shape = (n,) if x0 is None else x0.shape
+    y_shape = (m,) if y0 is None else y0.shape
+    if x_shape != (n,) or y_shape != (m,):
+        raise ParameterError(f"x0/y0 must have lengths {n}/{m}, got {x_shape}/{y_shape}")
+    scheme = _run_scheme(problem, config)
+    primal, dual = _layout(scheme)
+    size = n * len(primal)
+    block = np.empty(size + m * len(dual))
+    views = dict(zip(primal, block[:size].reshape(len(primal), n)))
+    views.update(zip(dual, block[size:].reshape(len(dual), m)))
+    x = views["x"]
+    if x0 is None:
+        x.fill(0.0)
+    else:
+        x[:] = x0
+    if y0 is None:
+        views["y"].fill(0.0)
+    else:
+        views["y"][:] = y0
+    views["x_prev"][:] = x
+    if "z" in views:
+        views["z"][:] = x
+    for name in ("w", "x_sum", "w_sum"):
+        views[name].fill(0.0)
     if scheme.fixed_step:
         tau, sigma = config.tau, config.sigma
     else:
         tau, sigma = config.tau0, config.beta * config.tau0
     state = SolverState(
-        x=x0,
-        z=x0.copy(),
-        y=y0,
-        w=np.zeros(m),
-        x_prev=x0.copy(),
-        grad_x=problem.h.grad(x0),
-        Kx=problem.K.matvec(x0),
+        x=x,
+        z=views.get("z", views["x_prev"]),  # the non-golden schemes' z is x_prev
+        y=views["y"],
+        w=views["w"],
+        x_prev=views["x_prev"],
+        grad_x=views["grad_x"],
+        Kx=views["Kx"],
         tau=tau,
         tau_prev=tau,
         sigma=sigma,
         theta=config.theta0,
         theta_prev=config.theta0,
-        x_sum=np.zeros(n),
-        w_sum=np.zeros(m),
+        x_sum=views["x_sum"],
+        w_sum=views["w_sum"],
+        y_prev=views.get("y_prev"),
+        y_bar=views.get("y_bar"),
+        Fx_prev=views.get("Fx_prev"),
+        Fy_prev=views.get("Fy_prev"),
+        work=Workspace(problem, scheme, views),
     )
+    state.work.h_grad(x, state.grad_x)
+    state.work.matvec(x, state.Kx)
     if scheme.start is not None:
         scheme.start(state, problem, config)
     return state
 
 
-def _dual_step(state, config, g, base, u, sigma):
+def _dual_step(state, config, g, base, u, sigma, out=None):
     """Dual ascent through the primal prox of g.
 
     w = prox_{g/sigma}(base/sigma + u) and y = base + sigma (u - w); by the
     Moreau identity y equals the prox of sigma g* at base + sigma u. A
     stepsize that has reached 0 (or NaN) aborts the current iteration.
+    With ``out`` = (w, y), views that overlap neither ``base`` nor ``u``,
+    the results are written there (y serves as scratch first) and g's prox
+    is called through the run's ``state.work.g_prox``; without ``out``,
+    ``g.prox`` is called directly and the results are new arrays.
     """
     if not sigma > 0.0:
         raise NumericAbort(config.algorithm, state.n, "stepsize reached 0")
-    w = g.prox(base / sigma + u, 1.0 / sigma)
-    return w, base + sigma * (u - w)
+    if out is None:
+        w = g.prox(base / sigma + u, 1.0 / sigma)
+        return w, base + sigma * (u - w)
+    w, y = out
+    np.divide(base, sigma, y)
+    np.add(y, u, y)
+    state.work.g_prox(y, 1.0 / sigma, w)
+    np.subtract(u, w, y)
+    np.multiply(sigma, y, y)
+    np.add(base, y, y)
+    return w, y
 
 
 def _negligible(ndx, x_new):
@@ -380,14 +380,17 @@ def _negligible(ndx, x_new):
 
 def _grad_change(state, grad_new):
     """||grad h(x_new) - grad h(x)||; 0 when the step leaves h out."""
-    return 0.0 if grad_new is None else _norm(grad_new - state.grad_x)
+    if grad_new is None:
+        return 0.0
+    return _norm(np.subtract(grad_new, state.grad_x, state.work.scratch_n))
 
 
 def _nonincreasing_policy(state, config, ndx, x_new, Kx_new, grad_new):
     """pgrpda: shrink tau by the local operator and curvature ratios."""
     tau = tau_new = state.tau
     if not _negligible(ndx, x_new):
-        tau_new = _pgrpda_tau(tau, ndx, _norm(Kx_new - state.Kx), _grad_change(state, grad_new),
+        ndK = _norm(np.subtract(Kx_new, state.Kx, state.work.scratch_m))
+        tau_new = _pgrpda_tau(tau, ndx, ndK, _grad_change(state, grad_new),
                               config.mu, config.mu_prime, config.beta)
     return tau_new, config.beta * tau_new, tau_new / tau, state.L_local
 
@@ -408,6 +411,26 @@ def _fixed_policy(state, config, ndx, x_new, Kx_new, grad_new):
     return state.tau, state.sigma, state.theta, state.L_local
 
 
+def _primal_step(state, center, tau, smooth):
+    """x_new = prox_{tau f}(center - tau K* y - tau grad h(x)) and K x_new.
+
+    Both go into their spare views; with ``smooth`` off the gradient term
+    is left out.
+    """
+    work = state.work
+    arg = work.scratch_n
+    work.rmatvec(state.y, arg)
+    np.multiply(tau, arg, arg)
+    np.subtract(center, arg, arg)
+    x_new = work.x_spare
+    if smooth:
+        np.multiply(tau, state.grad_x, x_new)  # x_new is free until the prox
+        np.subtract(arg, x_new, arg)
+    work.f_prox(arg, tau, x_new)
+    work.matvec(x_new, work.Kx_spare)
+    return x_new, work.Kx_spare
+
+
 def _golden_step(state, problem, config, scheme):
     """One golden-ratio step; the scheme supplies the stepsize policy.
 
@@ -417,24 +440,25 @@ def _golden_step(state, problem, config, scheme):
     """
     psi = config.psi
     tau = state.tau
-    z = ((psi - 1.0) * state.x + state.z) / psi
-    arg = z - tau * problem.K.rmatvec(state.y)
+    work = state.work
+    z = work.z_spare
+    np.multiply(psi - 1.0, state.x, z)
+    np.add(z, state.z, z)
+    np.divide(z, psi, z)
+    x_new, Kx_new = _primal_step(state, z, tau, scheme.smooth)
+    grad_new = None
     if scheme.smooth:
-        arg = arg - tau * state.grad_x
-    x_new = problem.f.prox(arg, tau)
-    Kx_new = problem.K.matvec(x_new)
-    grad_new = problem.h.grad(x_new) if scheme.smooth else None
-    ndx = _norm(x_new - state.x)
+        grad_new = work.grad_spare
+        work.h_grad(x_new, grad_new)
+    ndx = _norm(np.subtract(x_new, state.x, work.scratch_n))
     tau_new, sigma, theta, L = scheme.policy(state, config, ndx, x_new, Kx_new, grad_new)
-    w, y_new = _dual_step(state, config, problem.g, state.y, Kx_new, sigma)
-    state.x_prev = state.x
-    state.x = x_new
-    state.z = z
-    state.y = y_new
-    state.w = w
-    state.Kx = Kx_new
+    _dual_step(state, config, problem.g, state.y, Kx_new, sigma, (state.w, work.y_spare))
+    work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
+    work.z_spare, state.z = state.z, z
+    work.y_spare, state.y = state.y, work.y_spare
+    work.Kx_spare, state.Kx = state.Kx, Kx_new
     if scheme.smooth:
-        state.grad_x = grad_new
+        work.grad_spare, state.grad_x = state.grad_x, grad_new
     state.tau_prev = tau
     state.tau = tau_new
     state.sigma = sigma
@@ -452,33 +476,31 @@ def _condat_vu_step(state, problem, config, scheme):
     so the early-exit quantity ||x - z|| is the plain step norm. With h = 0
     this is the classical pdhg, which shares the step.
     """
-    tau = state.tau
-    arg = state.x - tau * problem.K.rmatvec(state.y)
+    work = state.work
+    x_new, Kx_new = _primal_step(state, state.x, state.tau, scheme.smooth)
+    u = work.scratch_m
+    np.multiply(2.0, Kx_new, u)
+    np.subtract(u, state.Kx, u)
+    _dual_step(state, config, problem.g, state.y, u, state.sigma, (state.w, work.y_spare))
+    state.dx_norm = _norm(np.subtract(x_new, state.x, work.scratch_n))
+    work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
+    state.z = state.x_prev
+    work.y_spare, state.y = state.y, work.y_spare
+    work.Kx_spare, state.Kx = state.Kx, Kx_new
     if scheme.smooth:
-        arg = arg - tau * state.grad_x
-    x_new = problem.f.prox(arg, tau)
-    Kx_new = problem.K.matvec(x_new)
-    u = 2.0 * Kx_new - state.Kx
-    w, y_new = _dual_step(state, config, problem.g, state.y, u, state.sigma)
-    state.dx_norm = _norm(x_new - state.x)
-    state.x_prev = state.x
-    state.z = state.x
-    state.x = x_new
-    state.y = y_new
-    state.w = w
-    state.Kx = Kx_new
-    if scheme.smooth:
-        state.grad_x = problem.h.grad(x_new)
+        work.h_grad(x_new, work.grad_spare)
+        work.grad_spare, state.grad_x = state.grad_x, work.grad_spare
     return state
 
 
 def _agraal_start(state, problem, config):
     """aGRAAL's one stepsize and the lagged dual iterate and vector field."""
     state.sigma = state.tau
-    state.y_prev = state.y.copy()
-    state.y_bar = state.y.copy()
-    state.Fx_prev = state.grad_x + problem.K.rmatvec(state.y)
-    state.Fy_prev = -state.Kx
+    np.copyto(state.y_prev, state.y)
+    np.copyto(state.y_bar, state.y)
+    state.work.rmatvec(state.y, state.Fx_prev)
+    np.add(state.grad_x, state.Fx_prev, state.Fx_prev)
+    np.negative(state.Kx, state.Fy_prev)
 
 
 def _agraal_step(state, problem, config, scheme):
@@ -492,33 +514,46 @@ def _agraal_step(state, problem, config, scheme):
     psi = config.psi
     rho = config.effective_rho
     lam = state.tau
-    Fx = state.grad_x + problem.K.rmatvec(state.y)
-    Fy = -state.Kx
+    work = state.work
+    sn, sm = work.scratch_n, work.scratch_m
+    Fx = work.Fx_spare
+    work.rmatvec(state.y, Fx)
+    np.add(state.grad_x, Fx, Fx)
+    Fy = np.negative(state.Kx, work.Fy_spare)
     # ||x - x_prev|| is the last step's ||x_new - x||, from the same operands
-    du2 = state.dx_norm**2 + _norm(state.y - state.y_prev) ** 2
-    dF2 = _norm(Fx - state.Fx_prev) ** 2 + _norm(Fy - state.Fy_prev) ** 2
+    du2 = state.dx_norm**2 + _norm(np.subtract(state.y, state.y_prev, sm)) ** 2
+    dF2 = (_norm(np.subtract(Fx, state.Fx_prev, sn)) ** 2
+           + _norm(np.subtract(Fy, state.Fy_prev, sm)) ** 2)
     candidates = [rho * lam, config.tau_max]
     scale = 1.0 + _norm(state.x) + _norm(state.y)
     if math.sqrt(du2) > _STEP_NOISE_FLOOR * scale and dF2 > 0.0:
         candidates.append(psi * state.theta / (4.0 * lam) * du2 / dF2)
     lam_new = min(candidates)
-    x_bar = ((psi - 1.0) * state.x + state.z) / psi
-    x_new = problem.f.prox(x_bar - lam_new * Fx, lam_new)
-    y_bar = ((psi - 1.0) * state.y + state.y_bar) / psi
-    w, y_new = _dual_step(state, config, problem.g, y_bar, state.Kx, lam_new)
-    state.dx_norm = _norm(x_new - state.x)
-    state.x_prev = state.x
-    state.y_prev = state.y
-    state.Fx_prev = Fx
-    state.Fy_prev = Fy
-    state.z = x_bar
-    state.y_bar = y_bar
-    state.x = x_new
-    state.y = y_new
-    state.w = w
-    state.Kx = problem.K.matvec(x_new)
+    x_bar = work.z_spare
+    np.multiply(psi - 1.0, state.x, x_bar)
+    np.add(x_bar, state.z, x_bar)
+    np.divide(x_bar, psi, x_bar)
+    np.multiply(lam_new, Fx, sn)
+    np.subtract(x_bar, sn, sn)
+    x_new = work.x_spare
+    work.f_prox(sn, lam_new, x_new)
+    y_bar = work.y_bar_spare
+    np.multiply(psi - 1.0, state.y, y_bar)
+    np.add(y_bar, state.y_bar, y_bar)
+    np.divide(y_bar, psi, y_bar)
+    _dual_step(state, config, problem.g, y_bar, state.Kx, lam_new, (state.w, work.y_spare))
+    state.dx_norm = _norm(np.subtract(x_new, state.x, sn))
+    work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
+    work.y_spare, state.y_prev, state.y = state.y_prev, state.y, work.y_spare
+    work.Fx_spare, state.Fx_prev = state.Fx_prev, Fx
+    work.Fy_spare, state.Fy_prev = state.Fy_prev, Fy
+    work.z_spare, state.z = state.z, x_bar
+    work.y_bar_spare, state.y_bar = state.y_bar, y_bar
+    work.matvec(x_new, work.Kx_spare)
+    work.Kx_spare, state.Kx = state.Kx, work.Kx_spare
     if scheme.smooth:
-        state.grad_x = problem.h.grad(x_new)
+        work.h_grad(x_new, work.grad_spare)
+        work.grad_spare, state.grad_x = state.grad_x, work.grad_spare
     state.tau_prev = lam
     state.tau = lam_new
     state.sigma = lam_new
@@ -527,37 +562,7 @@ def _agraal_step(state, problem, config, scheme):
     return state
 
 
-# Fixed-stepsize region warnings from tau*sigma*||K||^2; boundary values stay quiet.
-_REGION_SLACK = 1.0 + 1e-9
-
-
-def _egrpda_region(problem, config, ts_k2):
-    q = ts_k2 + 2.0 * config.tau * problem.h.lipschitz()
-    if q >= config.psi * (1.0 - 1e-12):
-        yield f"egrpda: tau*sigma*||K||^2 + 2*tau*L = {q:.6g} reaches psi = {config.psi}"
-
-
-def _grpda_region(problem, config, ts_k2):
-    if ts_k2 > GOLDEN * _REGION_SLACK:
-        yield f"grpda: tau*sigma*||K||^2 = {ts_k2:.6g} exceeds the golden ratio {GOLDEN:.6f}"
-    if not isinstance(problem.h, ZeroSmooth):
-        yield "grpda ignores the smooth term h of this problem; use egrpda or condat_vu instead"
-
-
-def _condat_vu_region(problem, config, ts_k2):
-    q = ts_k2 + config.tau * problem.h.lipschitz() / 2.0
-    if q > _REGION_SLACK:
-        yield f"{config.algorithm}: tau*sigma*||K||^2 + tau*L/2 = {q:.6g} exceeds 1"
-
-
-def _pdhg_region(problem, config, ts_k2):
-    if not isinstance(problem.h, ZeroSmooth):
-        yield from _condat_vu_region(problem, config, ts_k2)
-    elif ts_k2 > _REGION_SLACK:
-        yield f"pdhg: tau*sigma*||K||^2 = {ts_k2:.6g} exceeds 1"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scheme:
     """One algorithm: its step, stepsize policy, parameter checks and warnings.
 
@@ -568,7 +573,9 @@ class Scheme:
     configured tau and sigma; it and a ``needs_k_norm`` scheme get ||K||
     resolved before the run. ``check`` yields parameter violations beyond
     the shared ones, ``region`` the fixed-stepsize region warnings, and
-    ``start`` sets up extra state the step keeps.
+    ``start`` sets up extra state the step keeps. ``primal_views`` and
+    ``dual_views`` name the views of the run's block (see ``Workspace``)
+    that the scheme keeps beyond every run's.
     """
 
     step: Callable
@@ -579,18 +586,29 @@ class Scheme:
     check: Callable | None = None
     region: Callable | None = None
     start: Callable | None = None
+    primal_views: tuple = ()
+    dual_views: tuple = ()
 
+
+_Z_VIEWS = ("z", "z_spare")
 
 SCHEMES = {
-    "pgrpda": Scheme(_golden_step, _nonincreasing_policy, check=_check_pgrpda),
-    "aegrpda": Scheme(_golden_step, _adaptive_policy, needs_k_norm=True, check=_check_growth),
+    "pgrpda": Scheme(_golden_step, _nonincreasing_policy, check=_check_pgrpda,
+                     primal_views=_Z_VIEWS, dual_views=("scratch_m",)),
+    "aegrpda": Scheme(_golden_step, _adaptive_policy, needs_k_norm=True, check=_check_growth,
+                      primal_views=_Z_VIEWS),
     "egrpda": Scheme(_golden_step, _fixed_policy, fixed_step=True, check=_check_golden_psi,
-                     region=_egrpda_region),
-    "condat_vu": Scheme(_condat_vu_step, fixed_step=True, region=_condat_vu_region),
-    "pdhg": Scheme(_condat_vu_step, fixed_step=True, region=_pdhg_region),
+                     region=_egrpda_region, primal_views=_Z_VIEWS),
+    "condat_vu": Scheme(_condat_vu_step, fixed_step=True, region=_condat_vu_region,
+                        dual_views=("scratch_m",)),
+    "pdhg": Scheme(_condat_vu_step, fixed_step=True, region=_pdhg_region,
+                   dual_views=("scratch_m",)),
     "grpda": Scheme(_golden_step, _fixed_policy, smooth=False, fixed_step=True,
-                    check=_check_golden_psi, region=_grpda_region),
-    "agraal": Scheme(_agraal_step, check=_check_growth, start=_agraal_start),
+                    check=_check_golden_psi, region=_grpda_region, primal_views=_Z_VIEWS),
+    "agraal": Scheme(_agraal_step, check=_check_growth, start=_agraal_start,
+                     primal_views=(*_Z_VIEWS, "Fx_prev", "Fx_spare"),
+                     dual_views=("y_prev", "y_bar", "y_bar_spare", "Fy_prev", "Fy_spare",
+                                 "scratch_m")),
 }
 
 ALGORITHM_NAMES = tuple(SCHEMES)
@@ -677,10 +695,8 @@ def run_solver(
             f_star_provenance = problem.F_star_provenance
     state = init_state(problem, config, x0, y0)
     trace = IterationTrace()
-    scheme = SCHEMES[config.algorithm]
-    if isinstance(problem.h, ZeroSmooth):
-        # grad h is identically 0: no scheme needs to call or add it
-        scheme = dataclasses.replace(scheme, smooth=False)
+    scheme = state.work.scheme
+    scratch_n = state.work.scratch_n
     step = scheme.step
     x_true = problem.x_true
     x_true_norm = None if x_true is None else _norm(x_true)
@@ -702,7 +718,7 @@ def run_solver(
         state.w_sum += state.w
         if record_time:
             state.elapsed = time.perf_counter() - start
-        xz = _norm(state.x - state.z)
+        xz = _norm(np.subtract(state.x, state.z, scratch_n))
         hit_stop = config.stop_tol > 0.0 and xz <= config.stop_tol
         if n % config.trace_stride == 0 or n == config.max_iters or hit_stop:
             try:

@@ -260,6 +260,19 @@ def test_generate_foreign_flag_is_one_line_usage_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+def test_graphnet_default_fraction_on_a_small_grid_names_the_fraction_that_works(
+        tmp_path, capsys):
+    flags = ["generate", "--family", "graphnet", "--n1", "3", "--n2", "3", "--m", "4"]
+    code = main([*flags, "--out", str(tmp_path / "small")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: sparsity_fraction 0.05 keeps no entry")
+    assert "3x3 grid's 9 nodes" in err[0] and "is 1/9: 0.1111111111111111" in err[0]
+    # the fraction the message names keeps one entry
+    smallest = err[0].rsplit(" ", 1)[1]
+    assert main([*flags, "--sparsity-fraction", smallest, "--out", str(tmp_path / "ok")]) == 0
+
+
 def test_generate_inpainting_takes_image(tmp_path, capsys):
     img_path = tmp_path / "img.pgm"
     write_pgm(img_path, synthetic_blocks_image(6, 5))

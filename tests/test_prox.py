@@ -17,6 +17,7 @@ from goldsplit.prox import (
     SquaredL2Prox,
     SumSmooth,
     ZeroProx,
+    ZeroSmooth,
     _pixel_norms,
     _SQRT_NORM_MIN,
     moreau_conjugate_prox,
@@ -412,3 +413,85 @@ def test_closed_form_proxes_take_scalars_broadcast_offsets_and_float32():
     assert prox_l1(v32, 1.0, 0.5).dtype == np.float32
     assert prox_sq_l2(v32, 1.0, 2.0, b32).dtype == np.float32
     assert prox_sq_l2(v32, 1.0, 2.0).dtype == np.float32
+
+
+# the parent's one-line proxes, kept verbatim: without out the public functions
+# must return their values and dtypes for every input they took
+def _prox_l1_before(v, t, lam):
+    return np.sign(v) * np.maximum(np.abs(v) - t * lam, 0.0)
+
+
+def _prox_sq_l2_before(v, t, weight=1.0, b=None):
+    if b is None:
+        return v / (1.0 + t * weight)
+    return (v + t * weight * b) / (1.0 + t * weight)
+
+
+def _prox_group_l21_before(v, t, lam, n_pixels):
+    u = v.reshape(2, n_pixels)
+    threshold = t * lam
+    norms = _pixel_norms(u, fast=threshold > _SQRT_NORM_MIN)
+    if not 0.0 < threshold < np.inf:
+        return (u * (norms > threshold)).ravel()
+    scale = np.fmax(norms, threshold)
+    np.divide(threshold, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    return (u * scale).ravel()
+
+
+def _same(a, b):
+    return type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype and (
+        np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+def test_public_proxes_without_out_are_unchanged():
+    v = np.array([1.5, -0.25, 0.0, -0.0, 3.0, -7.0])
+    steps = (1.0, 0.5, np.float64(0.5), np.float32(0.5), 0.0)
+    for vv in (3.0, -3.0, np.float64(-3.0), np.float32(2.0), v, v.astype(np.float32),
+               v.reshape(2, 3)):
+        for t in steps:
+            assert _same(prox_l1(vv, t, 0.5), _prox_l1_before(vv, t, 0.5))
+            for b in (None, 4.0, np.array([2.0]), np.float32(1.0), np.ones(3, np.float32)):
+                try:
+                    expect = _prox_sq_l2_before(vv, t, 2.0, b)
+                except ValueError:  # shapes that never broadcast
+                    continue
+                assert _same(prox_sq_l2(vv, t, 2.0, b), expect)
+    for field in (v, v.astype(np.float32)):
+        for t in steps + (np.inf,):
+            for lam in (0.3, np.float32(0.3)):
+                # a float32 field casts the 1e300 guard of _pixel_norms to inf,
+                # before as now, which numpy reports as an overflow
+                with np.errstate(over="ignore"):
+                    assert _same(prox_group_l21(field, t, lam, 3),
+                                 _prox_group_l21_before(field, t, lam, 3))
+
+
+def test_prox_and_grad_out_receive_the_bytes_of_a_fresh_call(rng):
+    A = rng.standard_normal((7, 6))
+    v = rng.standard_normal(6)
+    b = rng.standard_normal(6)
+    proxes = [ZeroProx(), L1Prox(0.3), SquaredL2Prox(2.0), SquaredL2Prox(2.0, b),
+              GroupL21Prox(0.4, 3)]
+    for oracle in proxes:
+        for t in (0.0, 0.7, np.inf):
+            if t == np.inf and isinstance(oracle, SquaredL2Prox):
+                continue
+            expect = oracle.prox(v, t).tobytes()
+            out = np.full(6, np.nan)
+            assert oracle.prox(v, t, out) is out
+            assert out.tobytes() == expect, (oracle, t)
+            same = v.copy()  # out may be the input itself
+            assert oracle.prox(same, t, same).tobytes() == expect, (oracle, t)
+    labels = np.where(rng.standard_normal(7) > 0, 1.0, -1.0)
+    smooth = [ZeroSmooth(), LeastSquares(A, rng.standard_normal(7), scale=0.5),
+              MaskedLeastSquares((rng.random(6) > 0.5).astype(float), b), Logistic(A, labels),
+              QuadraticRidge(A, rng.standard_normal(7), 0.3),
+              SumSmooth([LeastSquares(A, np.zeros(7)), QuadraticRidge(A, np.ones(7), 0.1)])]
+    for oracle in smooth:
+        expect = oracle.grad(v).tobytes()
+        out = np.full(6, np.nan)
+        assert oracle.grad(v, out) is out
+        assert out.tobytes() == expect, oracle
+        same = v.copy()
+        assert oracle.grad(same, same).tobytes() == expect, oracle

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,7 +23,15 @@ from goldsplit.problems import (
     gen_strongly_convex,
     synthetic_blocks_image,
 )
-from goldsplit.prox import L1Prox, LeastSquares, SquaredL2Prox, ZeroProx, ZeroSmooth
+from goldsplit.prox import (
+    GroupL21Prox,
+    L1Prox,
+    LeastSquares,
+    MaskedLeastSquares,
+    SquaredL2Prox,
+    ZeroProx,
+    ZeroSmooth,
+)
 from goldsplit.solvers import (
     ALGORITHM_NAMES,
     GOLDEN,
@@ -1026,3 +1035,268 @@ def test_zero_smooth_makes_no_gradient_calls_and_keeps_iterates():
             assert getattr(state, name).tobytes() == getattr(duck_state, name).tobytes()
         for name in ("F", "tau", "sigma", "dx", "xz", "cviol"):
             assert trace.column(name).tobytes() == duck_trace.column(name).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the run's block: one allocation, oracles that write through out
+
+
+class _NoOut:
+    """A duck-typed copy of an oracle whose methods take no ``out``."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.shape = getattr(inner, "shape", None)
+
+    def exact_norm(self):
+        return linops.operator_norm(self.inner)
+
+    def matvec(self, x):
+        return self.inner.matvec(x)
+
+    def rmatvec(self, y):
+        return self.inner.rmatvec(y)
+
+    def value(self, v):
+        return self.inner.value(v)
+
+    def prox(self, v, t):
+        return self.inner.prox(v, t)
+
+    def grad(self, x):
+        return self.inner.grad(x)
+
+    def lipschitz(self):
+        return self.inner.lipschitz()
+
+
+def _identity_problem():
+    # IdentityOperator and ZeroProx return their input when called without out
+    rng = np.random.default_rng(12)
+    n = 9
+    return ProblemInstance(
+        f=ZeroProx(), g=SquaredL2Prox(1.0, rng.standard_normal(n)),
+        K=IdentityOperator(n), h=LeastSquares(rng.standard_normal((5, n)), np.ones(5)),
+    )
+
+
+def _fixed_and_adaptive_configs(k_norm):
+    step = 0.5 / k_norm
+    return [
+        SolverConfig("pgrpda", tau0=5.0, beta=0.2),
+        SolverConfig("aegrpda", tau0=5.0, beta=0.2),
+        SolverConfig("egrpda", tau=step, sigma=step),
+        SolverConfig("condat_vu", tau=step, sigma=step),
+        SolverConfig("pdhg", tau=step, sigma=step),
+        SolverConfig("grpda", tau=step, sigma=step),
+        SolverConfig("agraal", tau0=0.01),
+    ]
+
+
+_ALIAS_PROBLEMS = {
+    "lasso": lambda: gen_lasso(20, 40, 3, scheme="gaussian", seed=2),
+    "inpainting-12x12": lambda: gen_inpainting(synthetic_blocks_image(12, 12), 0.3, 1e-2, seed=4),
+    "identity-zero-prox": _identity_problem,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALIAS_PROBLEMS))
+def test_oracles_without_out_give_the_bytes_of_oracles_with_it(name):
+    base = _ALIAS_PROBLEMS[name]()
+    duck = dataclasses.replace(base, **{r: _NoOut(getattr(base, r)) for r in "fgKh"})
+    configs = _fixed_and_adaptive_configs(linops.operator_norm(base.K))
+    assert {c.algorithm for c in configs} == set(ALGORITHM_NAMES)
+    y0 = np.random.default_rng(5).standard_normal(base.K.shape.codomain_dim)
+    for cfg in configs:
+        cfg = dataclasses.replace(cfg, max_iters=60, trace_stride=7)
+        runs = []
+        for problem in (base, duck):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StepsizeWarning)
+                runs.append(run_solver(problem, cfg, y0=y0, record_time=False))
+        (state, trace, _), (duck_state, duck_trace, _) = runs
+        assert not linops.takes_out(duck.K.matvec, 1)
+        for field_name in ("x", "y", "z", "w", "x_bar", "w_bar"):
+            assert (getattr(state, field_name).tobytes()
+                    == getattr(duck_state, field_name).tobytes()), (cfg.algorithm, field_name)
+        for column in ("F", "tau", "sigma", "dx", "xz", "cviol"):
+            assert trace.column(column).tobytes() == duck_trace.column(column).tobytes(), (
+                cfg.algorithm, column)
+
+
+@pytest.mark.parametrize("alg", ALGORITHM_NAMES)
+def test_x_prev_at_each_callback_is_the_previous_iterate(alg):
+    base = gen_lasso(20, 40, 3, scheme="gaussian", seed=2)
+    A = np.random.default_rng(3).standard_normal((10, 40))
+    problem = dataclasses.replace(base, h=LeastSquares(A, np.ones(10), scale=0.01))
+    cfg = next(c for c in _scheme_configs(base) if c.algorithm == alg)
+    cfg = dataclasses.replace(cfg, max_iters=120, trace_stride=50)
+    seen = []
+
+    def check(st):
+        assert st.dx_norm == np.linalg.norm(st.x - st.x_prev)
+        if seen:
+            assert st.x_prev.tobytes() == seen[-1]
+        seen.append(st.x.tobytes())
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepsizeWarning)
+        run_solver(problem, cfg, y0=-base.meta["b"], callback=check)
+    assert len(seen) == 120
+
+
+@pytest.mark.parametrize("alg", ["aegrpda", "agraal"])
+def test_a_step_that_aborts_leaves_the_last_finished_iteration(alg):
+    # the step writes x_new and z (and agraal's y_bar) before its dual step
+    # finds the stepsize at 0; the state keeps the iterates of the last callback
+    problem = gen_lasso(50, 100, 5, seed=1)
+    kept = {}
+    names = ("x", "x_prev", "z", "y", "w", "Kx", "grad_x", "y_prev", "y_bar")
+
+    def keep(st):
+        kept["state"] = st
+        kept.update({name: getattr(st, name).tobytes() for name in names
+                     if getattr(st, name) is not None})
+
+    cfg = (SolverConfig("aegrpda", K_norm=1e300) if alg == "aegrpda"
+           else SolverConfig("agraal", tau0=1.0, tau_max=1e300, rho=1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericAbort, match="stepsize reached 0"):
+            run_solver(problem, cfg, callback=keep)
+    state = kept["state"]
+    for name in names:
+        if getattr(state, name) is not None:
+            assert getattr(state, name).tobytes() == kept[name], name
+
+
+def test_one_block_holds_the_whole_working_set():
+    # aegrpda with a smooth h: x in three views, z, y, Kx and grad h in two,
+    # w, the two ergodic sums and one scratch vector of length n
+    problem = gen_inpainting(synthetic_blocks_image(12, 10), 0.3, 1e-2, seed=1)
+    n, m = problem.K.shape
+    state = solvers.init_state(problem, SolverConfig("aegrpda", K_norm=1.0))
+    block = state.x.base
+    assert block.size == 9 * n + 6 * m == 21 * n
+    work = state.work
+    assert work.scratch_m is None  # the aegrpda step needs none
+    arrays = [state.x, state.x_prev, state.z, state.y, state.Kx, state.grad_x, state.w,
+              state.x_sum, state.w_sum, work.x_spare, work.z_spare, work.y_spare,
+              work.Kx_spare, work.grad_spare, work.scratch_n]
+    assert all(a.base is block for a in arrays)
+    starts = sorted(a.__array_interface__["data"][0] for a in arrays)
+    assert len(set(starts)) == len(arrays)  # no two views share a start
+    # a second run of the same problem shares nothing with the first
+    other = solvers.init_state(problem, SolverConfig("aegrpda", K_norm=1.0))
+    assert not np.shares_memory(other.x.base, block)
+
+
+def test_views_per_scheme_are_the_ones_its_step_uses():
+    problem = gen_lasso(20, 40, 3, scheme="gaussian", seed=2)  # h = 0
+    n, m = problem.K.shape
+    sizes = {}
+    for cfg in _scheme_configs(problem):
+        state = solvers.init_state(problem, cfg)
+        sizes[cfg.algorithm] = state.x.base.size
+    # x, z, grad h (0), the sum and a scratch vector; y, Kx, w and the sum
+    golden = 3 * n + 2 * n + n + 2 * n + 6 * m
+    assert sizes == {
+        "aegrpda": golden, "egrpda": golden, "grpda": golden,
+        # the pgrpda policy takes ||K x_new - K x|| in a second scratch vector
+        "pgrpda": golden + m,
+        # z is the previous iterate; the extrapolation needs the scratch
+        "condat_vu": golden - 2 * n + m, "pdhg": golden - 2 * n + m,
+        # and y_prev, y_bar, its spare, the lagged vector field and the scratch
+        "agraal": golden + 2 * n + 6 * m,
+    }
+
+
+class _Peaks:
+    """Largest traced memory growth of a run inside each oracle call and between calls.
+
+    Keeps running maxima and counts in preallocated slots, so that the
+    bookkeeping itself allocates nothing that lasts.
+    """
+
+    def __init__(self, names):
+        self.level = None
+        self.between = 0
+        self.inside = dict.fromkeys(names, 0)
+        self.calls = dict.fromkeys(names, 0)
+
+    def start(self):
+        tracemalloc.start()
+        self.level = tracemalloc.get_traced_memory()[0]
+
+    def stop(self):
+        current, peak = tracemalloc.get_traced_memory()
+        self.between = max(self.between, peak - self.level)
+        tracemalloc.stop()
+        return current - self.level
+
+    def call(self, name, method, *args):
+        if not tracemalloc.is_tracing():
+            return method(*args)
+        current, peak = tracemalloc.get_traced_memory()
+        self.between = max(self.between, peak - self.level)
+        tracemalloc.reset_peak()
+        result = method(*args)
+        self.inside[name] = max(self.inside[name], tracemalloc.get_traced_memory()[1] - current)
+        self.calls[name] += 1
+        tracemalloc.reset_peak()
+        return result
+
+
+def test_the_run_loop_allocates_only_oracle_temporaries():
+    # From iteration 2 on, a 64x64 inpainting aegrpda run allocates no array
+    # outside its oracles, and inside them only prox_group_l21 keeps
+    # temporaries: two arrays of n_pixels entries at once besides its input
+    # and out (the pixel norms and a square, then the norms and the scale).
+    # Everything else stays far below one array of the shortest length, n.
+    bounds = {"K.matvec": 0, "K.rmatvec": 0, "g.prox": 2, "f.prox": 0, "h.grad": 0}
+    peaks = _Peaks(bounds)
+
+    class Gradient(DiscreteGradient2D):
+        def matvec(self, x, out=None):
+            return peaks.call("K.matvec", super().matvec, x, out)
+
+        def rmatvec(self, y, out=None):
+            return peaks.call("K.rmatvec", super().rmatvec, y, out)
+
+    class Zero(ZeroProx):
+        def prox(self, v, t, out=None):
+            return peaks.call("f.prox", super().prox, v, t, out)
+
+    class GroupL21(GroupL21Prox):
+        def prox(self, v, t, out=None):
+            return peaks.call("g.prox", super().prox, v, t, out)
+
+    class Masked(MaskedLeastSquares):
+        def grad(self, x, out=None):
+            return peaks.call("h.grad", super().grad, x, out)
+
+    base = gen_inpainting(synthetic_blocks_image(64, 64), 0.3, 1e-2, seed=1)
+    problem = dataclasses.replace(
+        base, K=Gradient(64, 64), f=Zero(), g=GroupL21(base.g.lam, base.g.n_pixels),
+        h=Masked(base.h.mask, base.h.b))
+    n = problem.K.shape.domain_dim
+    array_bytes = 8 * n
+    slack = array_bytes / 4
+    grown = []
+
+    def window(st):
+        if st.n == 1:
+            peaks.start()
+        elif st.n == 50:
+            grown.append(peaks.stop())
+
+    cfg = SolverConfig("aegrpda", tau0=1.0, psi=1.5, beta=0.1, max_iters=60, trace_stride=1000)
+    try:
+        run_solver(problem, cfg, callback=window)
+    finally:
+        tracemalloc.stop()
+    assert peaks.calls == dict.fromkeys(bounds, 49)
+    assert peaks.between < slack, peaks.between
+    for name, arrays in bounds.items():  # in arrays of length n
+        assert peaks.inside[name] < arrays * array_bytes + slack, (name, peaks.inside[name])
+    assert grown[0] < slack  # and nothing accumulates
