@@ -7,9 +7,7 @@ horizontal differences first, then vertical differences.
 
 from __future__ import annotations
 
-import inspect
 import math
-from types import MethodType
 from typing import NamedTuple
 
 import numpy as np
@@ -28,61 +26,6 @@ def vector_norm(v):
     last bits can differ.
     """
     return math.sqrt(v.dot(v))
-
-
-# id of a code object -> (the code, index of ``out`` among its positional
-# parameters or None)
-_OUT_SLOTS = {}
-
-
-def _signature_out_slot(method):
-    try:
-        params = inspect.signature(method).parameters.values()
-    except (TypeError, ValueError):
-        return None
-    positional = [p.name for p in params
-                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    return positional.index("out") if "out" in positional else None
-
-
-def takes_out(method, n_args):
-    """Whether ``method(*args, out)`` with ``n_args`` arguments passes ``out`` as ``out``.
-
-    A method counts only when it names a positional ``out`` parameter right
-    after its arguments, as the oracles of this package do. For a Python
-    function or method this is read from its code once per function and
-    cached; any other callable (a partial, a builtin) has its signature
-    inspected on each call.
-    """
-    code = getattr(method, "__code__", None)
-    if code is None:
-        return _signature_out_slot(method) == n_args
-    entry = _OUT_SLOTS.get(id(code))
-    if entry is None:
-        positional = code.co_varnames[: code.co_argcount]
-        slot = positional.index("out") if "out" in positional else None
-        # the entry keeps the code object alive, so its id is not reused
-        entry = _OUT_SLOTS[id(code)] = (code, slot)
-    slot = entry[1]
-    # a bound method's code counts its self as well
-    return slot is not None and slot - (type(method) is MethodType) == n_args
-
-
-def writer(method, n_args):
-    """``method`` as a callable ``write(*args, out)`` that fills ``out`` and returns it.
-
-    An oracle method that takes ``out`` (see ``takes_out``) is returned
-    as it is. Any other, a duck-typed oracle's for instance, is called as
-    ``method(*args)`` and its result copied into ``out``.
-    """
-    if takes_out(method, n_args):
-        return method
-
-    def write(*args):
-        np.copyto(args[-1], method(*args[:-1]))
-        return args[-1]
-
-    return write
 
 
 def into(out, value):
@@ -108,7 +51,8 @@ class LinearOperator:
     after construction; both applications are read-only and reentrant.
     Both take an optional ``out``, a float64 vector of the result's length
     that must not overlap the input: as with numpy ufuncs, the result is
-    written there and ``out`` is returned.
+    written there and ``out`` is returned. A subclass that overrides either
+    application keeps the positional ``out``: a run passes it.
     """
 
     kind = "abstract"

@@ -40,6 +40,7 @@ from .linops import (
     LinearOperator,
     Shape,
     graph_laplacian,
+    into,
 )
 from .prox import (
     GroupL21Prox,
@@ -337,11 +338,11 @@ class _TikhonovSystem(LinearOperator):
         n = laplacian.shape.domain_dim
         super().__init__(Shape(n, n))
 
-    def matvec(self, x):
-        return x + self.alpha * self.W.matvec(x)
+    def matvec(self, x, out=None):
+        return into(out, x + self.alpha * self.W.matvec(x))
 
-    def rmatvec(self, y):
-        return self.matvec(y)
+    def rmatvec(self, y, out=None):
+        return self.matvec(y, out)
 
 
 def gen_graphnet(

@@ -11,7 +11,8 @@ Lipschitz bound ``lipschitz()``.
 a float64 array of the result's shape: as with numpy ufuncs, the result is
 written there and ``out`` is returned. ``out`` may be the input itself but
 must not otherwise overlap it. Without ``out`` every result is a new array
-computed as before, for any input numpy broadcasts.
+computed as before, for any input numpy broadcasts. A subclass that
+overrides ``prox`` or ``grad`` keeps the positional ``out``: a run passes it.
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _pixel_norms(u, fast=True):
         with np.errstate(over="ignore"):
             norms = u[0] * u[0]
             norms += u[1] * u[1]
-        if np.max(norms, initial=0.0) < _SQRT_NORM_MAX**2:
+        # a float, not a float32, so the bound is not cast to float32 inf
+        if float(np.max(norms, initial=0.0)) < _SQRT_NORM_MAX**2:
             return np.sqrt(norms, out=norms)
     return np.hypot(u[0], u[1])
 
@@ -260,18 +262,18 @@ class LeastSquares(SmoothOracle):
     """scale * 1/2 * ||A x - b||^2 with gradient scale * A^T (A x - b).
 
     The smoothness bound scale * ||A||^2 is computed by ``operator_norm``
-    on first use and cached; pass ``op_norm`` to skip the computation.
+    on first use and cached.
     """
 
     kind = "least_squares"
 
-    def __init__(self, A, b, scale=1.0, op_norm=None):
+    def __init__(self, A, b, scale=1.0):
         self.A = _as_operator(A)
         self.b = np.asarray(b, dtype=np.float64)
         if self.b.shape != (self.A.shape.codomain_dim,):
             raise DimensionError("response length does not match the design matrix")
         self.scale = scale
-        self._op_norm = op_norm
+        self._op_norm = None
 
     def value(self, x):
         r = self.A.matvec(x) - self.b
@@ -323,7 +325,7 @@ class Logistic(SmoothOracle):
 
     kind = "logistic"
 
-    def __init__(self, A, labels, op_norm=None):
+    def __init__(self, A, labels):
         self.A = _as_operator(A)
         labels = np.asarray(labels, dtype=np.float64)
         if not np.all(np.isin(labels, (-1.0, 1.0))):
@@ -331,7 +333,7 @@ class Logistic(SmoothOracle):
         if labels.shape != (self.A.shape.codomain_dim,):
             raise DimensionError("label count does not match the design matrix")
         self.labels = labels
-        self._op_norm = op_norm
+        self._op_norm = None
 
     def value(self, x):
         margins = self.labels * self.A.matvec(x)
@@ -353,13 +355,13 @@ class QuadraticRidge(SmoothOracle):
 
     kind = "quadratic_ridge"
 
-    def __init__(self, A, b, ridge, op_norm=None):
+    def __init__(self, A, b, ridge):
         if ridge <= 0:
             raise ParameterError("ridge must be positive")
         self.A = _as_operator(A)
         self.b = np.asarray(b, dtype=np.float64)
         self.ridge = ridge
-        self._op_norm = op_norm
+        self._op_norm = None
 
     def value(self, x):
         r = self.A.matvec(x) - self.b

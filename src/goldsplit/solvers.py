@@ -23,7 +23,9 @@ ergodic averages is uniformly reportable.
 
 A run allocates its arrays once: ``init_state`` carves the state and every
 buffer the steps write into from one float64 block (see ``Workspace``), and
-the steps and the run loop write through ``out`` from then on.
+the steps and the run loop write through ``out`` from then on. An oracle
+that is no ``LinearOperator``, ``ProxOracle`` or ``SmoothOracle`` is
+called without ``out`` and its result copied.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ from .errors import (
     ParameterError,
     StepsizeWarning,
 )
-from .linops import operator_norm, vector_norm as _norm, writer
+from .linops import LinearOperator, operator_norm, vector_norm as _norm
 from .metrics import IterationTrace, constraint_violation, objective, psnr
-from .prox import ZeroSmooth
+from .prox import ProxOracle, SmoothOracle, ZeroSmooth
 from .stepsizes import (  # noqa: F401  (GOLDEN and the public rules are re-exported)
     GOLDEN,
     _check_golden_psi,
@@ -229,9 +231,13 @@ class Workspace:
     abort the step, so a step that raises part-way leaves the state at its
     last finished iteration.
 
-    ``matvec``, ``rmatvec``, ``f_prox``, ``g_prox`` and ``h_grad`` call the
-    problem's oracles with ``out`` as the last argument (``linops.writer``);
-    ``scheme`` is the run's scheme record.
+    ``matvec``, ``rmatvec``, ``f_prox``, ``g_prox`` and ``h_grad`` take
+    ``out`` last, fill it and return it. For an oracle of the package's
+    classes (a ``LinearOperator`` K, ``ProxOracle`` f and g, a
+    ``SmoothOracle`` h) they are its own methods, so a subclass that
+    overrides one keeps its positional ``out``; any other oracle is called
+    without ``out`` and its result copied. ``scheme`` is the run's scheme
+    record.
     """
 
     def __init__(self, problem, scheme, views):
@@ -247,11 +253,24 @@ class Workspace:
         self.y_bar_spare = views.get("y_bar_spare")
         self.Fx_spare = views.get("Fx_spare")
         self.Fy_spare = views.get("Fy_spare")
-        self.matvec = writer(problem.K.matvec, 1)
-        self.rmatvec = writer(problem.K.rmatvec, 1)
-        self.f_prox = writer(problem.f.prox, 2)
-        self.g_prox = writer(problem.g.prox, 2)
-        self.h_grad = writer(problem.h.grad, 1)
+        self.matvec = _oracle_call(problem.K, LinearOperator, "matvec")
+        self.rmatvec = _oracle_call(problem.K, LinearOperator, "rmatvec")
+        self.f_prox = _oracle_call(problem.f, ProxOracle, "prox")
+        self.g_prox = _oracle_call(problem.g, ProxOracle, "prox")
+        self.h_grad = _oracle_call(problem.h, SmoothOracle, "grad")
+
+
+def _oracle_call(oracle, base, name):
+    """``oracle.name`` for an instance of ``base``, else a wrapper that copies into ``out``."""
+    method = getattr(oracle, name)
+    if isinstance(oracle, base):
+        return method
+
+    def write(*args):
+        np.copyto(args[-1], method(*args[:-1]))
+        return args[-1]
+
+    return write
 
 
 # The views of every run besides the scheme's own, of the primal length n
@@ -348,30 +367,22 @@ def init_state(problem, config, x0=None, y0=None):
     return state
 
 
-def _dual_step(state, config, g, base, u, sigma, out=None):
-    """Dual ascent through the primal prox of g.
+def _dual_step(state, config, base, u, sigma, w, y):
+    """Dual ascent through the primal prox of g, written into the views w and y.
 
     w = prox_{g/sigma}(base/sigma + u) and y = base + sigma (u - w); by the
-    Moreau identity y equals the prox of sigma g* at base + sigma u. A
+    Moreau identity y equals the prox of sigma g* at base + sigma u. Neither
+    w nor y may overlap ``base`` or ``u``; y serves as scratch first. A
     stepsize that has reached 0 (or NaN) aborts the current iteration.
-    With ``out`` = (w, y), views that overlap neither ``base`` nor ``u``,
-    the results are written there (y serves as scratch first) and g's prox
-    is called through the run's ``state.work.g_prox``; without ``out``,
-    ``g.prox`` is called directly and the results are new arrays.
     """
     if not sigma > 0.0:
         raise NumericAbort(config.algorithm, state.n, "stepsize reached 0")
-    if out is None:
-        w = g.prox(base / sigma + u, 1.0 / sigma)
-        return w, base + sigma * (u - w)
-    w, y = out
     np.divide(base, sigma, y)
     np.add(y, u, y)
     state.work.g_prox(y, 1.0 / sigma, w)
     np.subtract(u, w, y)
     np.multiply(sigma, y, y)
     np.add(base, y, y)
-    return w, y
 
 
 def _negligible(ndx, x_new):
@@ -452,7 +463,7 @@ def _golden_step(state, problem, config, scheme):
         work.h_grad(x_new, grad_new)
     ndx = _norm(np.subtract(x_new, state.x, work.scratch_n))
     tau_new, sigma, theta, L = scheme.policy(state, config, ndx, x_new, Kx_new, grad_new)
-    _dual_step(state, config, problem.g, state.y, Kx_new, sigma, (state.w, work.y_spare))
+    _dual_step(state, config, state.y, Kx_new, sigma, state.w, work.y_spare)
     work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
     work.z_spare, state.z = state.z, z
     work.y_spare, state.y = state.y, work.y_spare
@@ -481,7 +492,7 @@ def _condat_vu_step(state, problem, config, scheme):
     u = work.scratch_m
     np.multiply(2.0, Kx_new, u)
     np.subtract(u, state.Kx, u)
-    _dual_step(state, config, problem.g, state.y, u, state.sigma, (state.w, work.y_spare))
+    _dual_step(state, config, state.y, u, state.sigma, state.w, work.y_spare)
     state.dx_norm = _norm(np.subtract(x_new, state.x, work.scratch_n))
     work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
     state.z = state.x_prev
@@ -541,7 +552,7 @@ def _agraal_step(state, problem, config, scheme):
     np.multiply(psi - 1.0, state.y, y_bar)
     np.add(y_bar, state.y_bar, y_bar)
     np.divide(y_bar, psi, y_bar)
-    _dual_step(state, config, problem.g, y_bar, state.Kx, lam_new, (state.w, work.y_spare))
+    _dual_step(state, config, y_bar, state.Kx, lam_new, state.w, work.y_spare)
     state.dx_norm = _norm(np.subtract(x_new, state.x, sn))
     work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
     work.y_spare, state.y_prev, state.y = state.y_prev, state.y, work.y_spare

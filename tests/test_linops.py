@@ -17,12 +17,8 @@ from goldsplit.linops import (
     estimate_operator_norm,
     graph_laplacian,
     operator_norm,
-    takes_out,
     vector_norm,
-    writer,
 )
-
-from goldsplit.prox import L1Prox
 
 from oracles import materialize
 
@@ -519,41 +515,3 @@ def test_out_may_be_strided(rng):
         x = rng.standard_normal(op.shape.domain_dim)
         out = np.full(2 * op.shape.codomain_dim, np.nan)
         assert op.matvec(x, out[::2]).tobytes() == op.matvec(x).tobytes(), op
-
-
-class _OutKinds:
-    def positional(self, x, out=None):
-        return x if out is None else out
-
-    def keyword_only(self, x, *, out=None):
-        return x
-
-    def late(self, x, scale=1.0, out=None):
-        return x
-
-    def none(self, x):
-        return 2.0 * x
-
-    def varargs(self, *args, **kwargs):
-        return args[0]
-
-
-def test_takes_out_reads_a_positional_out_right_after_the_arguments():
-    kinds = _OutKinds()
-    assert takes_out(kinds.positional, 1)
-    assert takes_out(_OutKinds.positional, 2)  # the plain function takes self first
-    assert not takes_out(kinds.positional, 2)
-    for method in (kinds.keyword_only, kinds.late, kinds.none, kinds.varargs, len):
-        assert not takes_out(method, 1), method
-    assert takes_out(DenseOperator(np.eye(2)).matvec, 1)
-    assert takes_out(L1Prox(0.1).prox, 2)
-
-
-def test_writer_passes_out_or_copies_the_result_into_it():
-    kinds = _OutKinds()
-    assert writer(kinds.positional, 1) == kinds.positional
-    x = np.array([1.0, 2.0])
-    for method in (kinds.none, kinds.keyword_only, kinds.varargs):
-        out = np.zeros(2)
-        assert writer(method, 1)(x, out) is out
-        assert np.array_equal(out, method(x))

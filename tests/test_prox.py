@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,16 @@ def test_prox_group_l21_huge_entries_stay_finite():
     value = GroupL21Prox(1.0, 3).value(v)
     assert math.isfinite(value)
     assert value == np.hypot(v[:3], v[3:]).sum()
+
+
+def test_prox_group_l21_on_float32_input_warns_nothing():
+    # the pixel-norm bound is compared as a float, not cast to float32 inf
+    v = np.ones(6, np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = prox_group_l21(v, 0.5, 0.3, 3)
+    assert out.dtype == np.float32
+    assert np.allclose(out, 1.0 - 0.15 / math.sqrt(2.0), rtol=1e-6)
 
 
 def test_prox_group_l21_propagates_nan():

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -16,6 +18,7 @@ from goldsplit.linops import (
     IdentityOperator,
     estimate_operator_norm,
 )
+from goldsplit.metrics import TRACE_COLUMNS
 from goldsplit.problems import (
     ProblemInstance,
     gen_inpainting,
@@ -28,6 +31,8 @@ from goldsplit.prox import (
     L1Prox,
     LeastSquares,
     MaskedLeastSquares,
+    ProxOracle,
+    SmoothOracle,
     SquaredL2Prox,
     ZeroProx,
     ZeroSmooth,
@@ -400,7 +405,8 @@ def _agraal_step_fresh(state, problem, config, scheme):
     x_bar = ((psi - 1.0) * state.x + state.z) / psi
     x_new = problem.f.prox(x_bar - lam_new * Fx, lam_new)
     y_bar = ((psi - 1.0) * state.y + state.y_bar) / psi
-    w, y_new = solvers._dual_step(state, config, problem.g, y_bar, state.Kx, lam_new)
+    w = problem.g.prox(y_bar / lam_new + state.Kx, 1.0 / lam_new)
+    y_new = y_bar + lam_new * (state.Kx - w)
     state.dx_norm = np.linalg.norm(x_new - state.x)
     state.x_prev = state.x
     state.y_prev = state.y
@@ -997,9 +1003,9 @@ class _CountingZero(ZeroSmooth):
     def __init__(self):
         self.grad_calls = 0
 
-    def grad(self, x):
+    def grad(self, x, out=None):
         self.grad_calls += 1
-        return super().grad(x)
+        return super().grad(x, out)
 
 
 class _DuckZero:
@@ -1115,13 +1121,86 @@ def test_oracles_without_out_give_the_bytes_of_oracles_with_it(name):
                 warnings.simplefilter("ignore", StepsizeWarning)
                 runs.append(run_solver(problem, cfg, y0=y0, record_time=False))
         (state, trace, _), (duck_state, duck_trace, _) = runs
-        assert not linops.takes_out(duck.K.matvec, 1)
+        assert not isinstance(duck.K, linops.LinearOperator)
         for field_name in ("x", "y", "z", "w", "x_bar", "w_bar"):
             assert (getattr(state, field_name).tobytes()
                     == getattr(duck_state, field_name).tobytes()), (cfg.algorithm, field_name)
         for column in ("F", "tau", "sigma", "dx", "xz", "cviol"):
             assert trace.column(column).tobytes() == duck_trace.column(column).tobytes(), (
                 cfg.algorithm, column)
+
+
+_WRAPPED_METHODS = {"K": (("matvec", 1), ("rmatvec", 1)), "f": (("prox", 2),),
+                    "g": (("prox", 2),), "h": (("grad", 1),)}
+
+
+def _recording(calls, key, n_args, method):
+    """``method`` behind a ``*args`` wrapper that records whether it was given ``out``."""
+
+    def wrapped(*args, **kwargs):
+        calls.append((key, len(args) + len(kwargs) > n_args))
+        return method(*args, **kwargs)
+
+    return wrapped
+
+
+def _forwarding_copy(problem, calls):
+    """Shallow copies of the oracles with their methods shadowed by ``_recording`` wrappers."""
+    oracles = {}
+    for role, methods in _WRAPPED_METHODS.items():
+        oracle = copy.copy(getattr(problem, role))
+        for name, n_args in methods:
+            setattr(oracle, name, _recording(calls, f"{role}.{name}", n_args,
+                                             getattr(oracle, name)))
+        oracles[role] = oracle
+    return dataclasses.replace(problem, **oracles)
+
+
+def test_forwarding_wrappers_receive_out_and_keep_the_bytes():
+    # a wrapper that forwards *args around an oracle of the package's
+    # classes still gets out from the run loop; the only calls without it
+    # are the K x_bar of each trace row's constraint violation
+    base = gen_inpainting(synthetic_blocks_image(12, 12), 0.3, 1e-2, seed=4)
+    calls = []
+    wrapped = _forwarding_copy(base, calls)
+    y0 = np.random.default_rng(5).standard_normal(base.K.shape.codomain_dim)
+    for cfg in _fixed_and_adaptive_configs(linops.operator_norm(base.K)):
+        cfg = dataclasses.replace(cfg, max_iters=60, trace_stride=7)
+        runs = []
+        for problem in (base, wrapped):
+            calls.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", StepsizeWarning)
+                runs.append(run_solver(problem, cfg, y0=y0, record_time=False))
+        (state, trace, _), (wrapped_state, wrapped_trace, _) = runs
+        without_out = [key for key, has_out in calls if not has_out]
+        assert without_out == ["K.matvec"] * len(trace), cfg.algorithm
+        assert {key for key, has_out in calls if has_out} >= {"K.matvec", "K.rmatvec",
+                                                              "f.prox", "g.prox"}
+        for field_name in ("x", "y", "w", "x_bar", "w_bar"):
+            assert (getattr(state, field_name).tobytes()
+                    == getattr(wrapped_state, field_name).tobytes()), (cfg.algorithm, field_name)
+        for column in TRACE_COLUMNS:
+            assert trace.column(column).tobytes() == wrapped_trace.column(column).tobytes(), (
+                cfg.algorithm, column)
+
+
+def _package_subclasses(base):
+    found = [base]
+    for cls in found:
+        found.extend(cls.__subclasses__())
+    return [cls for cls in found if cls.__module__.startswith("goldsplit.")]
+
+
+@pytest.mark.parametrize("base, name, n_args", [
+    (linops.LinearOperator, "matvec", 1), (linops.LinearOperator, "rmatvec", 1),
+    (ProxOracle, "prox", 2), (SmoothOracle, "grad", 1)])
+def test_every_package_oracle_method_takes_a_positional_out(base, name, n_args):
+    # the run passes out to the methods of these classes
+    for cls in _package_subclasses(base):
+        # the unbound method takes self first
+        param = list(inspect.signature(getattr(cls, name)).parameters.values())[n_args + 1]
+        assert param.name == "out" and param.kind is param.POSITIONAL_OR_KEYWORD, cls
 
 
 @pytest.mark.parametrize("alg", ALGORITHM_NAMES)
