@@ -152,6 +152,15 @@ _CONFIG_FIELDS = (
     "tau_max", "K_norm", "max_iters", "trace_stride", "seed", "stop_tol",
 )
 
+# SolverConfig annotation -> what a config value of that field must be, and
+# the test for it; JSON gives bools apart from numbers, so type() is exact
+_CONFIG_TYPES = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "float": ("a number", lambda v: type(v) in (int, float)),
+    "float | None": ("a number or null", lambda v: v is None or type(v) in (int, float)),
+}
+
 
 def _solver_config(name, args, file_cfg, k_norm_fn):
     merged = {}
@@ -169,10 +178,14 @@ def _solver_config(name, args, file_cfg, k_norm_fn):
         if val is None:
             val = merged.get(key)
         merged[key] = _parse_step(val, k_norm_fn) if val is not None else None
-    known = {f.name for f in dataclasses.fields(SolverConfig)}
-    unknown = set(merged) - known
+    types = {f.name: f.type for f in dataclasses.fields(SolverConfig) if f.name != "algorithm"}
+    unknown = set(merged) - set(types)
     if unknown:
         raise GoldsplitError(f"unknown config keys {sorted(unknown)}")
+    for key, val in merged.items():
+        what, ok = _CONFIG_TYPES[types[key]]
+        if not ok(val):
+            raise GoldsplitError(f"config key {key!r} must be {what}, got {json.dumps(val)}")
     return SolverConfig(algorithm=name, **merged)
 
 

@@ -3,6 +3,10 @@
 All operators act on flat float64 vectors. Images are flattened row-major,
 and 2-D gradient fields are stored as two stacked channels of equal length:
 horizontal differences first, then vertical differences.
+
+scipy.sparse is imported only by the operators that store a sparse
+matrix (``CsrOperator``, ``csr_from_triplets``, ``GridIncidence``), when
+they are built, so dense and matrix-free use never loads scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConstructionError, DimensionError, ParameterError
 
@@ -99,7 +102,10 @@ class DenseOperator(LinearOperator):
 
     The applications compare shapes inline and call the shared checks only
     to raise, since on small vectors the call would cost about as much as
-    the product.
+    the product. With an ``out`` they call np.dot, which goes to BLAS with
+    less overhead than np.matmul and gives the same bytes; np.dot refuses
+    an ``out`` that is strided or of another dtype, and such an ``out``
+    goes through np.matmul, which casts and writes through strides.
     """
 
     kind = "dense"
@@ -115,17 +121,22 @@ class DenseOperator(LinearOperator):
     def matvec(self, x, out=None):
         if x.shape != self._domain_shape:
             self._check_domain(x)
-        # @ costs less than matmul's out argument, which only pays with an out
         if out is None:
             return self.matrix @ x
-        return np.matmul(self.matrix, x, out)
+        try:
+            return np.dot(self.matrix, x, out)
+        except ValueError:
+            return np.matmul(self.matrix, x, out)
 
     def rmatvec(self, y, out=None):
         if y.shape != self._codomain_shape:
             self._check_codomain(y)
         if out is None:
             return self._matrix_t @ y
-        return np.matmul(self._matrix_t, y, out)
+        try:
+            return np.dot(self._matrix_t, y, out)
+        except ValueError:
+            return np.matmul(self._matrix_t, y, out)
 
 
 class CsrOperator(LinearOperator):
@@ -134,6 +145,8 @@ class CsrOperator(LinearOperator):
     kind = "sparse_csr"
 
     def __init__(self, csr):
+        import scipy.sparse as sp
+
         if not sp.issparse(csr):
             raise ConstructionError("CsrOperator expects a scipy sparse matrix")
         csr = csr.tocsr().astype(np.float64)
@@ -174,6 +187,8 @@ def csr_from_triplets(n_rows, n_cols, triplets):
     Duplicate entries are summed and the result is stored in canonical
     order. Out-of-range indices raise ConstructionError.
     """
+    import scipy.sparse as sp
+
     rows, cols, vals = [], [], []
     for r, c, v in triplets:
         if not (0 <= r < n_rows) or not (0 <= c < n_cols):
@@ -265,6 +280,8 @@ class GridIncidence(CsrOperator):
     def __init__(self, n1, n2):
         if n1 < 1 or n2 < 1:
             raise DimensionError("grid_incidence needs n1, n2 >= 1")
+        import scipy.sparse as sp
+
         self.grid = (n1, n2)
         nodes = np.arange(n1 * n2).reshape(n1, n2)
         # edge e joins tails[e] (entry -1) to the larger node heads[e] (+1)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ContractError,
@@ -213,6 +212,8 @@ def parse_libsvm(path, n_features=None):
     feature values that are NaN or infinite, raise ParseError with their line
     number.
     """
+    import scipy.sparse as sp
+
     rows, cols, vals, raw_labels = [], [], [], []
     max_col = 0
     with open(path, "rb") as fh:

@@ -13,12 +13,14 @@ written there and ``out`` is returned. ``out`` may be the input itself but
 must not otherwise overlap it. Without ``out`` every result is a new array
 computed as before, for any input numpy broadcasts. A subclass that
 overrides ``prox`` or ``grad`` keeps the positional ``out``: a run passes it.
+
+scipy is imported only inside ``Logistic.grad``, for
+``scipy.special.expit``, so the other oracles never load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError, DimensionError, ParameterError
 from .linops import DenseOperator, into, operator_norm
@@ -340,6 +342,8 @@ class Logistic(SmoothOracle):
         return float(np.logaddexp(0.0, -margins).sum())
 
     def grad(self, x, out=None):
+        from scipy.special import expit
+
         margins = self.labels * self.A.matvec(x)
         s = expit(-margins)
         return np.negative(self.A.rmatvec(self.labels * s), out)

@@ -320,6 +320,36 @@ def test_run_config_file_with_flag_override(tmp_path):
     assert summary["config"]["tau0"] == 2.0  # file value survives
 
 
+# --config contents whose values do not fit their SolverConfig fields, and the error
+_ILL_TYPED_CONFIGS = {
+    "string-max-iters": ({"defaults": {"max_iters": "abc"}},
+                         "config key 'max_iters' must be an integer, got \"abc\""),
+    "string-psi": ({"pgrpda": {"psi": "1.5"}},
+                   "config key 'psi' must be a number, got \"1.5\""),
+    "fractional-max-iters": ({"defaults": {"max_iters": 1.5}},
+                             "config key 'max_iters' must be an integer, got 1.5"),
+    "string-extended": ({"pgrpda": {"extended": "no"}},
+                        "config key 'extended' must be true or false, got \"no\""),
+    "algorithm-key": ({"defaults": {"algorithm": "pdhg"}},
+                      "unknown config keys ['algorithm']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ILL_TYPED_CONFIGS))
+def test_ill_typed_config_value_is_one_line_usage_error(tmp_path, capsys, case):
+    config, message = _ILL_TYPED_CONFIGS[case]
+    manifest = _generate_lasso(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    code = main(["run", "--manifest", str(manifest), "--solvers", "pgrpda",
+                 "--config", str(cfg_path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_run_on_libsvm_file(tmp_path):
     data = tmp_path / "toy.libsvm"
     data.write_text("+1 1:0.4 3:1.2\n-1 2:0.5\n+1 1:-0.3 2:0.2\n-1 3:0.9\n")

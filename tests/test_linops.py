@@ -515,3 +515,18 @@ def test_out_may_be_strided(rng):
         x = rng.standard_normal(op.shape.domain_dim)
         out = np.full(2 * op.shape.codomain_dim, np.nan)
         assert op.matvec(x, out[::2]).tobytes() == op.matvec(x).tobytes(), op
+
+
+def test_dense_out_products_keep_the_bytes_of_fresh_ones():
+    rng = np.random.default_rng(12)
+    for m, n in ((0, 3), (3, 0), (1, 1), (50, 100), (100, 50)):
+        op = DenseOperator(rng.standard_normal((m, n)))
+        x, y = rng.standard_normal(n), rng.standard_normal(m)
+        for apply, v, length in ((op.matvec, x, m), (op.rmatvec, y, n)):
+            out = np.full(length, np.nan)
+            assert apply(v, out) is out
+            assert out.tobytes() == apply(v).tobytes(), (m, n)
+            # a float32 out receives the float64 product cast, as np.matmul writes it
+            out32 = np.full(length, np.nan, dtype=np.float32)
+            assert apply(v, out32) is out32
+            assert out32.tobytes() == apply(v).astype(np.float32).tobytes(), (m, n)

@@ -12,7 +12,10 @@ up to its iteration-1 callback, as in ``perfbench``, so it includes one
 iteration; the loop is the rest of the run. Faults are getrusage
 ``ru_minflt`` of this process over the same spans. One line per pass:
 
-    pass <i>: setup <ms> ms <faults> faults; loop <ms> ms <faults> faults over <n> iterations (<faults/iteration>)
+    pass <i>: setup <ms> ms <faults> faults; loop <ms> ms <faults> faults over <n> iterations (<faults/iteration>); peak rss <MiB> MiB; scipy <yes|no>
+
+The peak RSS is this process's getrusage ``ru_maxrss`` so far, and scipy
+says whether any ``scipy`` module is loaded in it at the end of the pass.
 
 A pass whose set-up faults do not fall to 0 after the first passes, or
 whose loop takes a fault per iteration or more, is paging its temporaries
@@ -31,6 +34,14 @@ from pathlib import Path
 
 def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def peak_rss_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
 
 
 def run_pass(workload, seed, run_solver, np):
@@ -92,7 +103,8 @@ def main(argv=None):
         per_iter = loop_faults / iterations if iterations else 0.0
         print(f"pass {i}: setup {1e3 * setup_s:.2f} ms {setup_faults} faults; "
               f"loop {1e3 * loop_s:.1f} ms {loop_faults} faults over {iterations} "
-              f"iterations ({per_iter:.3f}/iteration)", flush=True)
+              f"iterations ({per_iter:.3f}/iteration); peak rss {peak_rss_mib():.1f} MiB; "
+              f"scipy {'yes' if scipy_loaded() else 'no'}", flush=True)
 
 
 if __name__ == "__main__":
