@@ -3,11 +3,10 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
 unreadable or malformed input files, rejected parameters), 3 numeric
 abort (``run`` still runs the solvers listed after the one that aborted).
-All numeric parameters travel through flags; ``--config FILE``
-supplies the same fields as JSON, with explicit flags winning on
-conflict. Stepsizes accept either a plain number or ``<number>/K``,
-which divides by the operator norm: exact where a closed form exists,
-otherwise a seeded power-iteration estimate.
+All numeric parameters travel through flags, one per SolverConfig field;
+``--config FILE`` supplies the same fields as JSON, and flags win.
+Stepsizes accept a plain number or ``<number>/K``, which divides by the
+merged K_norm, else by the exact or seeded power-iteration norm.
 """
 
 from __future__ import annotations
@@ -48,6 +47,26 @@ EXIT_NUMERIC = 3
 # share a name share its type
 _FAMILY_PARAMS = {k: kind for family in FAMILIES.values() for k, kind in family.params.items()}
 
+# every SolverConfig field after the algorithm selector, with its annotation;
+# each is one run flag and one --config key
+_PARAMS = {f.name: f.type for f in dataclasses.fields(SolverConfig)[1:]}
+
+# the stepsize fields, which take NUMBER or NUMBER/K (NUMBER / ||K||), and their help
+_PER_K = {"tau": "fixed primal stepsize; NUMBER or NUMBER/K",
+          "sigma": "fixed dual stepsize; NUMBER or NUMBER/K"}
+
+# SolverConfig annotation -> the run flag's argparse keywords, and what a
+# --config value of the field must be with the test for it; JSON gives
+# bools apart from numbers, so type() is exact
+_KINDS = {
+    "int": ({"type": int}, "an integer", lambda v: type(v) is int),
+    "bool": ({"action": "store_true", "default": None}, "true or false",
+             lambda v: type(v) is bool),
+    "float": ({"type": float}, "a number", lambda v: type(v) in (int, float)),
+    "float | None": ({"type": float}, "a number or null",
+                     lambda v: v is None or type(v) in (int, float)),
+}
+
 
 def _build_parser():
     parser = argparse.ArgumentParser(
@@ -74,22 +93,9 @@ def _build_parser():
     run.add_argument("--solvers", required=True,
                      help=f"comma separated subset of {','.join(ALGORITHM_NAMES)}")
     run.add_argument("--config", help="JSON file mirroring the flags (flags win)")
-    run.add_argument("--max-iters", dest="max_iters", type=int)
-    run.add_argument("--trace-stride", dest="trace_stride", type=int)
-    run.add_argument("--stop-tol", dest="stop_tol", type=float)
-    run.add_argument("--seed", type=int)
-    run.add_argument("--tau0", type=float)
-    run.add_argument("--beta", type=float)
-    run.add_argument("--psi", type=float)
-    run.add_argument("--mu", type=float)
-    run.add_argument("--mu-prime", dest="mu_prime", type=float)
-    run.add_argument("--extended", action="store_true", default=None)
-    run.add_argument("--rho", type=float)
-    run.add_argument("--theta0", type=float)
-    run.add_argument("--tau-max", dest="tau_max", type=float)
-    run.add_argument("--tau", help="fixed primal stepsize; NUMBER or NUMBER/K")
-    run.add_argument("--sigma", help="fixed dual stepsize; NUMBER or NUMBER/K")
-    run.add_argument("--k-norm", dest="K_norm", type=float)
+    for name, kind in _PARAMS.items():
+        typed = {"help": _PER_K[name]} if name in _PER_K else _KINDS[kind][0]
+        run.add_argument("--" + name.lower().replace("_", "-"), dest=name, **typed)
     run.add_argument("--x0", choices=("zero", "damaged"), default="zero",
                      help="initial x (damaged = observed image, inpainting only)")
     run.add_argument("--y0", choices=("zero", "neg-b"), default="zero",
@@ -134,59 +140,48 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _parse_step(text, k_norm_fn):
-    """A stepsize flag: a float, or NUMBER/K meaning NUMBER / ||K||."""
-    if text is None:
-        return None
+def _parse_step(text):
+    """A stepsize: NUMBER or NUMBER/K, as (NUMBER, whether it ends in /K)."""
     text = str(text).strip()
     per_k = text.endswith("/K")
     try:
-        value = float(text[:-2] if per_k else text)
+        return float(text[:-2] if per_k else text), per_k
     except ValueError:
         raise ParameterError(f"bad stepsize {text!r}: expected NUMBER or NUMBER/K") from None
-    return value / k_norm_fn() if per_k else value
 
 
-_CONFIG_FIELDS = (
-    "tau0", "beta", "psi", "mu", "mu_prime", "extended", "rho", "theta0",
-    "tau_max", "K_norm", "max_iters", "trace_stride", "seed", "stop_tol",
-)
+def _solver_config(name, args, file_cfg, problem):
+    """One solver's SolverConfig: --config defaults, then its section, then flags.
 
-# SolverConfig annotation -> what a config value of that field must be, and
-# the test for it; JSON gives bools apart from numbers, so type() is exact
-_CONFIG_TYPES = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "bool": ("true or false", lambda v: type(v) is bool),
-    "float": ("a number", lambda v: type(v) in (int, float)),
-    "float | None": ("a number or null", lambda v: v is None or type(v) in (int, float)),
-}
-
-
-def _solver_config(name, args, file_cfg, k_norm_fn):
+    NUMBER/K divides by the merged K_norm, else by ``operator_norm`` with
+    the merged seed, recorded as K_norm."""
     merged = {}
     for section in ("defaults", name):
         values = file_cfg.get(section, {})
         if not isinstance(values, dict):
             raise GoldsplitError(f"--config section {section!r} must hold a JSON object")
         merged.update(values)
-    for key in _CONFIG_FIELDS:
-        val = getattr(args, key, None)
+    for key in _PARAMS:
+        val = getattr(args, key)
         if val is not None:
             merged[key] = val
-    for key in ("tau", "sigma"):
-        val = getattr(args, key, None)
-        if val is None:
-            val = merged.get(key)
-        merged[key] = _parse_step(val, k_norm_fn) if val is not None else None
-    types = {f.name: f.type for f in dataclasses.fields(SolverConfig) if f.name != "algorithm"}
-    unknown = set(merged) - set(types)
+    unknown = set(merged) - set(_PARAMS)
     if unknown:
         raise GoldsplitError(f"unknown config keys {sorted(unknown)}")
     for key, val in merged.items():
-        what, ok = _CONFIG_TYPES[types[key]]
-        if not ok(val):
+        _, what, ok = _KINDS[_PARAMS[key]]
+        if key not in _PER_K and not ok(val):
             raise GoldsplitError(f"config key {key!r} must be {what}, got {json.dumps(val)}")
-    return SolverConfig(algorithm=name, **merged)
+    steps = {key: _parse_step(merged.pop(key)) for key in _PER_K if merged.get(key) is not None}
+    config = SolverConfig(name, **merged)
+    if any(per_k for _, per_k in steps.values()):
+        if config.K_norm is None:
+            config.K_norm = operator_norm(problem.K, seed=config.seed)
+        if config.K_norm == 0:
+            raise ParameterError("NUMBER/K stepsizes need ||K|| > 0, got ||K|| = 0")
+    for key, (value, per_k) in steps.items():
+        setattr(config, key, value / config.K_norm if per_k else value)
+    return config
 
 
 def _load_problem(args):
@@ -224,33 +219,19 @@ def cmd_run(args):
         if not isinstance(file_cfg, dict):
             raise GoldsplitError(f"--config {args.config} must hold a JSON object")
 
-    k_norm_cache = {}
-
-    def k_norm_fn():
-        if "value" not in k_norm_cache:
-            if args.K_norm is not None:
-                k_norm_cache["value"] = args.K_norm
-            else:
-                seed = args.seed if args.seed is not None else 0
-                k_norm_cache["value"] = operator_norm(problem.K, seed=seed)
-        return k_norm_cache["value"]
-
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     configs = []
     for name in solvers:
         if name not in ALGORITHM_NAMES:
             print(f"error: unknown solver {name!r}", file=sys.stderr)
             return EXIT_USAGE
-        cfg = _solver_config(name, args, file_cfg, k_norm_fn)
-        if cfg.K_norm is None and "value" in k_norm_cache:
-            cfg = dataclasses.replace(cfg, K_norm=k_norm_cache["value"])
-        configs.append(validate_config(cfg))
+        configs.append(validate_config(_solver_config(name, args, file_cfg, problem)))
 
     f_star = args.fstar
     provenance = "user-supplied" if f_star is not None else None
     if f_star is None and args.fstar_ref_iters:
         ref_cfg = dataclasses.replace(
-            _solver_config(args.fstar_solver, args, file_cfg, k_norm_fn),
+            _solver_config(args.fstar_solver, args, file_cfg, problem),
             max_iters=args.fstar_ref_iters,
             trace_stride=max(1, args.fstar_ref_iters // 100),
         )

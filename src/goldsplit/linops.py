@@ -52,6 +52,8 @@ class LinearOperator:
     Subclasses implement ``matvec`` (K x) and ``rmatvec`` (K* y) and must
     satisfy the adjoint identity <Kx, y> == <x, K*y>. Operators are immutable
     after construction; both applications are read-only and reentrant.
+    The one thing an operator keeps is its spectral norm per seed, which
+    ``operator_norm`` writes once and returns on every later call.
     Both take an optional ``out``, a float64 vector of the result's length
     that must not overlap the input: as with numpy ufuncs, the result is
     written there and ``out`` is returned. A subclass that overrides either
@@ -68,6 +70,7 @@ class LinearOperator:
         self.shape = shape
         self._domain_shape = (shape.domain_dim,)
         self._codomain_shape = (shape.codomain_dim,)
+        self._norms = {}  # seed -> ||K||, kept by operator_norm
 
     def matvec(self, x, out=None):
         raise NotImplementedError
@@ -400,12 +403,15 @@ def operator_norm(op, seed=0):
 
     Operators without one (dense, CSR and duck-typed operators that only
     provide ``matvec``/``rmatvec``/``shape``) fall back to
-    ``estimate_operator_norm`` with the given seed.
+    ``estimate_operator_norm`` with the given seed. The one norm cache: a
+    ``LinearOperator`` keeps the result per seed for its runs, smooth
+    oracles and ``NUMBER/K`` stepsizes; other objects are normed per call.
     """
-    norm = _exact_norm(op)
-    if norm is None:
-        norm = estimate_operator_norm(op, seed=seed)
-    return norm
+    norms = getattr(op, "_norms", {})
+    if seed not in norms:
+        norm = _exact_norm(op)
+        norms[seed] = estimate_operator_norm(op, seed=seed) if norm is None else norm
+    return norms[seed]
 
 
 def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):

@@ -4,8 +4,8 @@ Proximal oracles expose ``value(v)`` and ``prox(v, t)`` with
 prox_t(v) = argmin_u value(u) + ||u - v||^2 / (2 t); a step of t = 0 is the
 identity. Conjugate proxes are always derived through the Moreau
 decomposition (``moreau_conjugate_prox``) rather than hand-coded per
-function. Smooth oracles expose ``value``, ``grad`` and a cached gradient
-Lipschitz bound ``lipschitz()``.
+function. Smooth oracles expose ``value``, ``grad`` and a gradient
+Lipschitz bound ``lipschitz()`` whose norms ``operator_norm`` keeps.
 
 ``prox``, ``grad`` and the public prox functions take an optional ``out``,
 a float64 array of the result's shape: as with numpy ufuncs, the result is
@@ -263,8 +263,8 @@ class ZeroSmooth(SmoothOracle):
 class LeastSquares(SmoothOracle):
     """scale * 1/2 * ||A x - b||^2 with gradient scale * A^T (A x - b).
 
-    The smoothness bound scale * ||A||^2 is computed by ``operator_norm``
-    on first use and cached.
+    The smoothness bound is scale * ||A||^2, with ||A|| from
+    ``operator_norm``: computed on first use and kept on A.
     """
 
     kind = "least_squares"
@@ -275,7 +275,6 @@ class LeastSquares(SmoothOracle):
         if self.b.shape != (self.A.shape.codomain_dim,):
             raise DimensionError("response length does not match the design matrix")
         self.scale = scale
-        self._op_norm = None
 
     def value(self, x):
         r = self.A.matvec(x) - self.b
@@ -285,9 +284,7 @@ class LeastSquares(SmoothOracle):
         return np.multiply(self.scale, self.A.rmatvec(self.A.matvec(x) - self.b), out)
 
     def lipschitz(self):
-        if self._op_norm is None:
-            self._op_norm = operator_norm(self.A)
-        return self.scale * self._op_norm**2
+        return self.scale * operator_norm(self.A) ** 2
 
 
 class MaskedLeastSquares(SmoothOracle):
@@ -335,7 +332,6 @@ class Logistic(SmoothOracle):
         if labels.shape != (self.A.shape.codomain_dim,):
             raise DimensionError("label count does not match the design matrix")
         self.labels = labels
-        self._op_norm = None
 
     def value(self, x):
         margins = self.labels * self.A.matvec(x)
@@ -349,9 +345,7 @@ class Logistic(SmoothOracle):
         return np.negative(self.A.rmatvec(self.labels * s), out)
 
     def lipschitz(self):
-        if self._op_norm is None:
-            self._op_norm = operator_norm(self.A)
-        return 0.25 * self._op_norm**2
+        return 0.25 * operator_norm(self.A) ** 2
 
 
 class QuadraticRidge(SmoothOracle):
@@ -365,7 +359,6 @@ class QuadraticRidge(SmoothOracle):
         self.A = _as_operator(A)
         self.b = np.asarray(b, dtype=np.float64)
         self.ridge = ridge
-        self._op_norm = None
 
     def value(self, x):
         r = self.A.matvec(x) - self.b
@@ -380,9 +373,7 @@ class QuadraticRidge(SmoothOracle):
         return np.add(g, out, out)
 
     def lipschitz(self):
-        if self._op_norm is None:
-            self._op_norm = operator_norm(self.A)
-        return self._op_norm**2 + self.ridge
+        return operator_norm(self.A) ** 2 + self.ridge
 
 
 class SumSmooth(SmoothOracle):

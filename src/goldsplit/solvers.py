@@ -83,9 +83,10 @@ class SolverConfig:
     ``tau0`` doubles as the initial stepsize of the adaptive schemes and
     as lambda_0 for agraal; ``tau_max`` bounds the adaptive growth (and is
     lambda_max for agraal). ``extended`` selects the enlarged pgrpda
-    parameter region with psi up to 1 + sqrt(3). ``seed`` seeds the
-    power-iteration estimate of an unset ``K_norm``, which is only made
-    for operators without a closed-form norm.
+    parameter region with psi up to 1 + sqrt(3). An unset ``K_norm`` is
+    ``operator_norm(K, seed)``: the closed form where one exists, else a
+    power-iteration estimate, each made once per operator and seed. The
+    CLI's ``NUMBER/K`` stepsizes divide by the same ``K_norm``.
     """
 
     algorithm: str

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from goldsplit.cli import main
+from goldsplit.cli import _build_parser, main
+from goldsplit.linops import operator_norm
 from goldsplit.metrics import IterationTrace
-from goldsplit.problems import synthetic_blocks_image, write_pgm
+from goldsplit.problems import load_instance, synthetic_blocks_image, write_pgm
+from goldsplit.solvers import SolverConfig
 
 
 def _generate_lasso(tmp_path, seed=5):
@@ -163,9 +166,48 @@ def test_run_huge_or_infinite_k_norm_is_one_line_error(tmp_path, capsys, k_norm,
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+def _write_config(config):
+    """A mutation that writes CONFIG as cfg.json beside the manifest."""
+    return lambda manifest: (manifest.parent / "cfg.json").write_text(json.dumps(config))
+
+
+def _per_k_run(tmp_path, config):
+    """pdhg with tau = sigma = 1/K under --config CONFIG; its summary."""
+    manifest = _generate_lasso(tmp_path)
+    _write_config(config)(manifest)
+    out = tmp_path / "runs"
+    assert main([
+        "run", "--manifest", str(manifest), "--solvers", "pdhg", "--tau", "1/K",
+        "--sigma", "1/K", "--config", str(manifest.parent / "cfg.json"),
+        "--max-iters", "5", "--out", str(out),
+    ]) == 0
+    return manifest, json.loads((out / "pdhg_summary.json").read_text())
+
+
+def test_config_k_norm_sets_per_k_stepsizes(tmp_path):
+    _, summary = _per_k_run(tmp_path, {"defaults": {"K_norm": 2.0}})
+    assert summary["config"]["tau"] == summary["config"]["sigma"] == 0.5
+    assert summary["config"]["K_norm"] == summary["k_norm"] == 2.0
+
+
+def test_config_seed_seeds_the_per_k_norm(tmp_path):
+    manifest, summary = _per_k_run(tmp_path, {"defaults": {"seed": 5}})
+    K = load_instance(manifest).K
+    assert summary["config"]["K_norm"] == operator_norm(K, seed=5) != operator_norm(K, seed=0)
+    assert summary["config"]["tau"] == 1.0 / operator_norm(K, seed=5)
+
+
 def _truncate_payload(manifest):
     payload = manifest.parent / "K.bin"
     payload.write_bytes(payload.read_bytes()[:-8])
+
+
+def _zero_payload(manifest):
+    payload = manifest.parent / "K.bin"
+    payload.write_bytes(bytes(len(payload.read_bytes())))
+
+
+_PER_K_STEPS = ["--tau", "1/K", "--sigma", "1/K"]
 
 
 def _edit_manifest(edit):
@@ -206,6 +248,16 @@ _BAD_INPUTS = {
                              "'params' must be an object, got list"),
     "manifest-without-lam": ([], _edit_manifest(lambda d: d["params"].pop("lam")),
                              "params lacks 'lam'"),
+    "zero-k-norm-per-k": (["--k-norm", "0", *_PER_K_STEPS], None, "got ||K|| = 0"),
+    "zero-config-k-norm-per-k": (["--config", "{dir}/cfg.json", *_PER_K_STEPS],
+                                 _write_config({"defaults": {"K_norm": 0}}), "got ||K|| = 0"),
+    "zero-operator-per-k": (["--tau", "1/K", "--sigma", "1/K"], _zero_payload, "got ||K|| = 0"),
+    "ill-typed-seed-per-k": (["--config", "{dir}/cfg.json", *_PER_K_STEPS],
+                             _write_config({"defaults": {"seed": "abc"}}),
+                             "config key 'seed' must be an integer, got \"abc\""),
+    "ill-typed-k-norm-per-k": (["--config", "{dir}/cfg.json", *_PER_K_STEPS],
+                               _write_config({"pdhg": {"K_norm": "2"}}),
+                               "config key 'K_norm' must be a number or null, got \"2\""),
 }
 
 
@@ -348,6 +400,31 @@ def test_ill_typed_config_value_is_one_line_usage_error(tmp_path, capsys, case):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out.exists()
+
+
+# every SolverConfig field but the algorithm selector and its run flag
+_RUN_FLAGS = {
+    "--tau0": "tau0", "--beta": "beta", "--psi": "psi", "--mu": "mu",
+    "--mu-prime": "mu_prime", "--extended": "extended", "--rho": "rho",
+    "--theta0": "theta0", "--tau-max": "tau_max", "--tau": "tau", "--sigma": "sigma",
+    "--k-norm": "K_norm", "--max-iters": "max_iters", "--trace-stride": "trace_stride",
+    "--seed": "seed", "--stop-tol": "stop_tol",
+}
+
+
+def test_each_solver_config_field_has_one_run_flag():
+    run = _build_parser()._subparsers._group_actions[0].choices["run"]
+    flags = {}
+    for action in run._actions:
+        flags.setdefault(action.dest, []).append(action.option_strings)
+    fields = {f.name for f in dataclasses.fields(SolverConfig)} - {"algorithm"}
+    assert set(_RUN_FLAGS.values()) == fields
+    for flag, name in _RUN_FLAGS.items():
+        assert flags[name] == [[flag]]
+    base = ["run", "--solvers", "pdhg", "--out", "o"]
+    assert _build_parser().parse_args(base).extended is None
+    args = _build_parser().parse_args([*base, "--extended", "--tau", "1/K", "--seed", "3"])
+    assert (args.extended, args.tau, args.seed) == (True, "1/K", 3)
 
 
 def test_run_on_libsvm_file(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -331,6 +332,66 @@ def test_operator_norm_falls_back_to_power_iteration(rng):
     gram = GramOperator(dense)
     assert gram.exact_norm() is None
     assert operator_norm(gram, seed=2) == estimate_operator_norm(gram, seed=2)
+
+
+class _CountingDense(DenseOperator):
+    """A dense operator that counts its forward products."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.products = 0
+
+    def matvec(self, x, out=None):
+        self.products += 1
+        return super().matvec(x, out)
+
+
+class _CountingDuck:
+    """A duck-typed operator that counts its forward products."""
+
+    def __init__(self, matrix):
+        self.inner = DenseOperator(matrix)
+        self.shape = self.inner.shape
+        self.products = 0
+
+    def matvec(self, x):
+        self.products += 1
+        return self.inner.matvec(x)
+
+    def rmatvec(self, y):
+        return self.inner.rmatvec(y)
+
+
+def test_operator_norm_is_kept_per_seed(rng):
+    A = rng.standard_normal((9, 7))
+    op = _CountingDense(A)
+    first = operator_norm(op, seed=4)
+    assert first == estimate_operator_norm(DenseOperator(A), seed=4)
+    products = op.products
+    assert products > 0
+    # the same seed again makes no product
+    assert operator_norm(op, seed=4) == first
+    assert op.products == products
+    # another seed makes a new power iteration
+    assert operator_norm(op, seed=5) == estimate_operator_norm(DenseOperator(A), seed=5)
+    assert op.products > products
+
+
+def test_a_shallow_copy_shares_the_kept_norm(rng):
+    op = _CountingDense(rng.standard_normal((9, 7)))
+    first = operator_norm(op, seed=2)
+    twin = copy.copy(op)
+    assert operator_norm(twin, seed=2) == first
+    assert twin.products == op.products
+
+
+def test_a_duck_typed_operator_is_normed_on_every_call(rng):
+    A = rng.standard_normal((9, 7))
+    op = _CountingDuck(A)
+    first = operator_norm(op, seed=3)
+    products = op.products
+    assert operator_norm(op, seed=3) == first == estimate_operator_norm(DenseOperator(A), seed=3)
+    assert op.products == 2 * products
 
 
 def test_norm_identity():

@@ -712,6 +712,26 @@ def test_duck_typed_operator_norm_uses_seeded_power_iteration(rng):
     assert summary.k_norm == estimate_operator_norm(dense, seed=3)
 
 
+def test_smooth_bound_and_run_share_one_power_iteration(monkeypatch, rng):
+    estimates = []
+    estimate = linops.estimate_operator_norm
+
+    def counting(op, **kwargs):
+        estimates.append(kwargs)
+        return estimate(op, **kwargs)
+
+    monkeypatch.setattr(linops, "estimate_operator_norm", counting)
+    A = DenseOperator(rng.standard_normal((12, 8)))
+    h = LeastSquares(A, rng.standard_normal(12))
+    L = h.lipschitz()
+    problem = ProblemInstance(
+        f=L1Prox(0.1), g=SquaredL2Prox(1.0, rng.standard_normal(12)), K=A, h=h,
+    )
+    _, _, summary = run_solver(problem, SolverConfig("aegrpda", max_iters=5))
+    assert estimates == [{"seed": 0}]
+    assert summary.k_norm**2 == L
+
+
 def test_numeric_abort_names_solver_and_iteration():
     problem = gen_lasso(20, 40, 3, scheme="gaussian", seed=2)
     cfg = SolverConfig("pdhg", tau=1e8, sigma=1e8, K_norm=1.0, max_iters=2000)

@@ -16,6 +16,11 @@ summary JSON without its cviol-derived values (``final.cviol`` and the
 constraint violation is the only output read from the ergodic averages, so
 a change that only re-rounds them differs in ``cviol`` alone.
 
+The ``lasso-config`` setting takes its parameters from a ``--config``
+file (``CONFIG``, written into the script's temp directory) instead of
+flags, so the merge of ``--config`` sections into each solver's
+configuration is fingerprinted as well.
+
 Run it on two checkouts and diff the outputs: a refactor or a speed-up that
 keeps every iterate prints the same lines. Warnings are printed without
 their source location, so moving a line of code does not change them.
@@ -72,6 +77,13 @@ SETTINGS = {
     "inpainting-16x8": ("inpainting_16x8", [*_STEPS]),
     "logistic-1": ("libsvm", ["--setting", "1", *_STEPS]),
     "logistic-2": ("libsvm", ["--setting", "2", *_STEPS]),
+    "lasso-config": ("lasso", ["--config", "{tmp}/config.json"]),
+}
+
+# the --config file of the lasso-config setting
+CONFIG = {
+    "defaults": {"tau": "0.5/K", "sigma": "0.5/K", "tau0": 5, "beta": 0.2},
+    "pgrpda": {"mu": 0.6, "mu_prime": 0.2},
 }
 
 
@@ -129,6 +141,7 @@ def main(argv=None):
         tmp = Path(tmp)
         sources = {"libsvm": ["--libsvm", str(tmp / "data.libsvm")]}
         write_libsvm_file(tmp / "data.libsvm")
+        (tmp / "config.json").write_text(json.dumps(CONFIG))
         for name, gen_args in INSTANCES.items():
             proc = _cli(args.checkout, ["generate", *gen_args, "--out", str(tmp / name)])
             if proc.returncode != 0:
@@ -138,7 +151,8 @@ def main(argv=None):
             for solver in SOLVERS:
                 out = tmp / "runs" / setting / solver
                 proc = _cli(args.checkout, [
-                    "run", *sources[source], "--solvers", solver, *flags,
+                    "run", *sources[source], "--solvers", solver,
+                    *(flag.format(tmp=tmp) for flag in flags),
                     "--max-iters", str(args.max_iters), "--trace-stride", "5",
                     "--zero-time", "--out", str(out),
                 ])
