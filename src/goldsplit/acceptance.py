@@ -1,10 +1,13 @@
 """Acceptance battery behind ``goldsplit verify`` and tests/test_acceptance.py.
 
-Each check returns a CheckResult instead of raising, so the CLI can emit
-one pass/fail line per criterion and a machine-readable report. Expected
-values come from independent oracles computed here (golden-section
-minimization, dense eigensolves, control series), never from the code
-paths under test.
+Each criterion is registered once, with its suite and title, by the
+``criterion`` decorator; ``CRITERIA`` and ``SUITES`` are filled from
+those registrations in file order. A check returns ``(passed, detail)``
+instead of raising, and the registered callable times it and wraps it in a
+CheckResult, so the CLI can emit one pass/fail line per criterion and a
+machine-readable report. Expected values come from independent oracles
+computed here (golden-section minimization, dense eigensolves, control
+series), never from the code paths under test.
 """
 
 from __future__ import annotations
@@ -60,8 +63,33 @@ class CheckResult:
     elapsed: float = 0.0
 
 
-def _result(name, start, passed, detail):
-    return CheckResult(name, bool(passed), detail, time.perf_counter() - start)
+# criterion key ("criterion_1") -> callable returning its CheckResult
+CRITERIA = {}
+# suite name -> criterion keys; "all" (every key) is added after the last criterion
+SUITES = {}
+
+
+def criterion(suite, title):
+    """Register the decorated check, named ``criterion_<key>``, in SUITE.
+
+    The check returns ``(passed, detail)``. The registered callable, which
+    also replaces the check's module name, times it and returns the
+    CheckResult named ``criterion <key> (<title>)``.
+    """
+
+    def register(check):
+        name = f"{check.__name__.replace('_', ' ')} ({title})"
+
+        def run():
+            start = time.perf_counter()
+            passed, detail = check()
+            return CheckResult(name, bool(passed), detail, time.perf_counter() - start)
+
+        CRITERIA[check.__name__] = run
+        SUITES.setdefault(suite, []).append(check.__name__)
+        return run
+
+    return register
 
 
 _memo = {}
@@ -93,11 +121,11 @@ def golden_section(fn, lo, hi, tol=1e-11, max_iter=300):
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: prox oracle equivalence
+# prox and operator checks
 
 
+@criterion("prox", "prox vs minimization oracle")
 def criterion_1():
-    start = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
     moreau_worst = 0.0
@@ -171,6 +199,7 @@ def criterion_1():
         L1Prox(0.7),
         SquaredL2Prox(1.0, rng.normal(0, 1, 8)),
         SquaredL2Prox(2.5),
+        GroupL21Prox(0.8, 4),
     ]
     for g in oracles:
         for _ in range(25):
@@ -180,29 +209,16 @@ def criterion_1():
                 v / sigma, 1.0 / sigma
             )
             moreau_worst = max(moreau_worst, float(np.max(np.abs(recon - v))))
-    g = GroupL21Prox(0.8, 4)
-    for _ in range(25):
-        v = rng.normal(0, 4, 8)
-        sigma = float(rng.uniform(0.05, 5))
-        recon = moreau_conjugate_prox(g, v, sigma) + sigma * g.prox(v / sigma, 1.0 / sigma)
-        moreau_worst = max(moreau_worst, float(np.max(np.abs(recon - v))))
 
     passed = worst <= 1e-6 and moreau_worst <= 1e-12
-    return _result(
-        "criterion 1 (prox vs minimization oracle)",
-        start,
-        passed,
+    return passed, (
         f"{n_inputs} inputs, worst prox err {worst:.2e} (tol 1e-6), "
-        f"worst Moreau residual {moreau_worst:.2e} (tol 1e-12)",
+        f"worst Moreau residual {moreau_worst:.2e} (tol 1e-12)"
     )
 
 
-# ---------------------------------------------------------------------------
-# criterion 2: operator correctness
-
-
+@criterion("operators", "operator correctness")
 def criterion_2():
-    start = time.perf_counter()
     rng = np.random.default_rng(202)
     ops = [
         DenseOperator(rng.standard_normal((30, 20))),
@@ -255,18 +271,15 @@ def criterion_2():
         grad_ok = grad_ok and est <= math.sqrt(8.0) + 1e-6
 
     passed = worst_adj <= 1e-10 and worst_norm <= 1e-4 and d5_err <= 1e-4 and grad_ok
-    return _result(
-        "criterion 2 (operator correctness)",
-        start,
-        passed,
+    return passed, (
         f"adjoint worst {worst_adj:.2e} (tol 1e-10), norm-vs-eigensolve worst rel "
         f"{worst_norm:.2e} (tol 1e-4), ||D_5|| err {d5_err:.2e}, "
-        f"max gradient norm {grad_max:.6f} <= sqrt(8)",
+        f"max gradient norm {grad_max:.6f} <= sqrt(8)"
     )
 
 
 # ---------------------------------------------------------------------------
-# criteria 3 and 4: stepsize theory on a seeded sparse-regression instance
+# stepsize theory on a seeded sparse-regression instance
 
 
 def _stepsize_instance():
@@ -277,8 +290,8 @@ def _stepsize_instance():
     return _memo["step"]
 
 
+@criterion("stepsize", "partially adaptive stepsize floor")
 def criterion_3():
-    start = time.perf_counter()
     problem, k_exact = _stepsize_instance()
     y0 = -problem.meta["b"]
     mu, mu_prime, beta, tau0 = 0.77236, 0.25, 0.2, 10.0
@@ -300,17 +313,14 @@ def criterion_3():
     constant = all(t == tau0_small for t in taus_small)
 
     passed = nonincreasing and above_eta and constant
-    return _result(
-        "criterion 3 (partially adaptive stepsize floor)",
-        start,
-        passed,
+    return passed, (
         f"10k iters: nonincreasing={nonincreasing}, min tau {min(taus):.6f} >= "
-        f"eta {eta:.6f} - 1e-12: {above_eta}, constant-at-small-tau0: {constant}",
+        f"eta {eta:.6f} - 1e-12: {above_eta}, constant-at-small-tau0: {constant}"
     )
 
 
+@criterion("stepsize", "adaptive stepsize bounds")
 def criterion_4():
-    start = time.perf_counter()
     problem, _ = _stepsize_instance()
     y0 = -problem.meta["b"]
     psi, beta, tau_max = 1.5, 0.2, 1e7
@@ -342,18 +352,15 @@ def criterion_4():
             3.0 * math.sqrt(beta * psi) * k_norm
         ) + 1e-12
     passed = bound1_ok and bound2_ok and theta_ok and cap_ok and n_defined > 9000
-    return _result(
-        "criterion 4 (adaptive stepsize bounds)",
-        start,
-        passed,
+    return passed, (
         f"{len(recs)} iters ({n_defined} with defined curvature): "
         f"tau*L bound {bound1_ok}, tau-vs-||K|| bound {bound2_ok}, "
-        f"theta <= psi*rho {theta_ok}, tau <= tau_max {cap_ok}",
+        f"theta <= psi*rho {theta_ok}, tau <= tau_max {cap_ok}"
     )
 
 
 # ---------------------------------------------------------------------------
-# criteria 5, 6, 8: convergence on a small sparse-regression instance
+# convergence and rates on small instances
 
 
 def _convergence_instance():
@@ -393,8 +400,8 @@ def _featured_configs(k_norm, beta=0.2, iters=30_000, stride=100):
     }
 
 
+@criterion("convergence", "global convergence, four schemes")
 def criterion_5():
-    start = time.perf_counter()
     problem, y0, f_star, k_norm = _convergence_instance()
     details = []
     passed = True
@@ -410,16 +417,11 @@ def criterion_5():
         else:
             details.append(f"{name}: gap {best_gap:.1e}")
         passed = passed and ok
-    return _result(
-        "criterion 5 (global convergence, four schemes)",
-        start,
-        passed,
-        "; ".join(details) + " (tolerances 1e-6)",
-    )
+    return passed, "; ".join(details) + " (tolerances 1e-6)"
 
 
+@criterion("rates", "ergodic constraint-violation rate")
 def criterion_6():
-    start = time.perf_counter()
     problem, y0, _, k_norm = _convergence_instance()
     slopes = {}
     for name in ("pgrpda", "aegrpda"):
@@ -429,17 +431,14 @@ def criterion_6():
         _, trace, _ = run_solver(problem, cfg, y0=y0)
         slopes[name] = loglog_slope(trace, "cviol", (100, 10_000))
     passed = all(s <= -0.9 for s in slopes.values())
-    return _result(
-        "criterion 6 (ergodic constraint-violation rate)",
-        start,
-        passed,
+    return passed, (
         ", ".join(f"{k} slope {v:.3f}" for k, v in slopes.items())
-        + " (need <= -0.9 over [1e2, 1e4])",
+        + " (need <= -0.9 over [1e2, 1e4])"
     )
 
 
+@criterion("rates", "geometric decay under strong convexity")
 def criterion_7():
-    start = time.perf_counter()
     problem = gen_strongly_convex(200, 50, ridge=1.0, seed=7)
     cfg_ref = SolverConfig(
         "pgrpda", tau0=10.0, psi=1.5, mu=0.7, mu_prime=0.3, beta=100.0,
@@ -467,17 +466,14 @@ def criterion_7():
     _, _, r2_control, _ = fit_loglinear(ns[window], 3.0 / ns[window])
     threshold = max(0.9, r2_control + 0.02)
     passed = r2 >= threshold and rate < 0.0
-    return _result(
-        "criterion 7 (geometric decay under strong convexity)",
-        start,
-        passed,
+    return passed, (
         f"fit over [{burn}, {n_keep}]: rate {rate:.3e}/iter, R^2 {r2:.4f} >= "
-        f"threshold {threshold:.4f} (1/n control R^2 {r2_control:.4f})",
+        f"threshold {threshold:.4f} (1/n control R^2 {r2_control:.4f})"
     )
 
 
+@criterion("convergence", "enlarged parameter region")
 def criterion_8():
-    start = time.perf_counter()
     problem, y0, f_star, _ = _convergence_instance()
     cfg = SolverConfig(
         "pgrpda", tau0=10.0, psi=2.5, mu=0.26, mu_prime=0.08, beta=0.2,
@@ -489,17 +485,14 @@ def criterion_8():
         SolverConfig("pgrpda", psi=2.8, mu=0.2, mu_prime=0.05, extended=True)
     )
     passed = best_gap <= 1e-5 and len(rejected) > 0 and cfg.psi > GOLDEN
-    return _result(
-        "criterion 8 (enlarged parameter region)",
-        start,
-        passed,
+    return passed, (
         f"psi=2.5 gap {best_gap:.1e} (tol 1e-5); psi=2.8 rejected with "
-        f"{len(rejected)} diagnostics",
+        f"{len(rejected)} diagnostics"
     )
 
 
+@criterion("stepsize", "zero-step conventions")
 def criterion_9():
-    start = time.perf_counter()
     zero = np.zeros(4)
     dx = np.array([1.0, -2.0, 0.5, 0.0])
     ok = []
@@ -516,20 +509,15 @@ def criterion_9():
     tau2, _ = aegrpda_tau_update(2.0, 1.5, None, 4.0, 1.0, 1.5, 1.1, 2.1)
     ok.append(tau2 == 2.1)
     passed = all(ok)
-    return _result(
-        "criterion 9 (zero-step conventions)",
-        start,
-        passed,
-        f"{sum(ok)}/{len(ok)} convention checks returned the documented fallbacks",
-    )
+    return passed, f"{sum(ok)}/{len(ok)} convention checks returned the documented fallbacks"
 
 
 # ---------------------------------------------------------------------------
-# criterion 10: desk-scale experiment reproduction
+# desk-scale experiment reproduction and determinism
 
 
+@criterion("experiments", "sparse regression at benchmark scale")
 def criterion_10a():
-    start = time.perf_counter()
     problem = gen_lasso(300, 1000, 10, scheme="gaussian", seed=1)
     y0 = -problem.meta["b"]
     k_norm = estimate_operator_norm(problem.K, seed=0)
@@ -549,16 +537,11 @@ def criterion_10a():
         best = float(np.nanmin(trace.column("F_gap")))
         details.append(f"{name} gap {best:.1e}")
         passed = passed and best <= 1e-4
-    return _result(
-        "criterion 10a (sparse regression at benchmark scale)",
-        start,
-        passed,
-        "; ".join(details) + " (tol 1e-4 within 3e4 iterations)",
-    )
+    return passed, "; ".join(details) + " (tol 1e-4 within 3e4 iterations)"
 
 
+@criterion("experiments", "TV inpainting recovery")
 def criterion_10b():
-    start = time.perf_counter()
     image = synthetic_blocks_image(32, 32)
     problem = gen_inpainting(image, missing_fraction=0.3, lam=1e-2, seed=3)
     damaged_psnr = psnr(problem.meta["damaged"], problem.x_true)
@@ -569,17 +552,14 @@ def criterion_10b():
     state, trace, _ = run_solver(problem, cfg)
     recon_psnr = psnr(state.x, problem.x_true)
     passed = recon_psnr >= damaged_psnr + 5.0
-    return _result(
-        "criterion 10b (TV inpainting recovery)",
-        start,
-        passed,
+    return passed, (
         f"damaged {damaged_psnr:.2f} dB -> reconstruction {recon_psnr:.2f} dB "
-        f"(need +5 dB within 2000 iterations)",
+        f"(need +5 dB within 2000 iterations)"
     )
 
 
+@criterion("experiments", "grid-graph signal recovery")
 def criterion_10c():
-    start = time.perf_counter()
     problem = gen_graphnet(10, 10, 60, alpha=2.0, seed=11)
     k_norm = estimate_operator_norm(problem.K, seed=0)
     cfg = SolverConfig(
@@ -589,21 +569,16 @@ def criterion_10c():
     _, trace, _ = run_solver(problem, cfg)
     best_rel = float(np.nanmin(trace.column("rel_err")))
     passed = best_rel < 0.3
-    return _result(
-        "criterion 10c (grid-graph signal recovery)",
-        start,
-        passed,
-        f"best relative error {best_rel:.3f} (need < 0.3)",
-    )
+    return passed, f"best relative error {best_rel:.3f} (need < 0.3)"
 
 
+@criterion("determinism", "byte-identical reruns")
 def criterion_11():
     import subprocess
     import sys
     import tempfile
     from pathlib import Path
 
-    start = time.perf_counter()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         gen = subprocess.run(
@@ -630,42 +605,14 @@ def criterion_11():
             b1 = (tmp / "a" / f"{solver}.csv").read_bytes()
             b2 = (tmp / "b" / f"{solver}.csv").read_bytes()
             identical = identical and b1 == b2
-    return _result(
-        "criterion 11 (byte-identical reruns)",
-        start,
-        identical,
+    return identical, (
         "two identical-seed runs produced byte-identical trace CSVs"
         if identical
-        else "reruns differed or a subprocess failed",
+        else "reruns differed or a subprocess failed"
     )
 
 
-CRITERIA = {
-    "criterion_1": criterion_1,
-    "criterion_2": criterion_2,
-    "criterion_3": criterion_3,
-    "criterion_4": criterion_4,
-    "criterion_5": criterion_5,
-    "criterion_6": criterion_6,
-    "criterion_7": criterion_7,
-    "criterion_8": criterion_8,
-    "criterion_9": criterion_9,
-    "criterion_10a": criterion_10a,
-    "criterion_10b": criterion_10b,
-    "criterion_10c": criterion_10c,
-    "criterion_11": criterion_11,
-}
-
-SUITES = {
-    "prox": ["criterion_1"],
-    "operators": ["criterion_2"],
-    "stepsize": ["criterion_3", "criterion_4", "criterion_9"],
-    "convergence": ["criterion_5", "criterion_8"],
-    "rates": ["criterion_6", "criterion_7"],
-    "experiments": ["criterion_10a", "criterion_10b", "criterion_10c"],
-    "determinism": ["criterion_11"],
-    "all": list(CRITERIA),
-}
+SUITES["all"] = list(CRITERIA)
 
 
 def run_suites(names):

@@ -176,6 +176,9 @@ def _solver_config(name, args, file_cfg, problem):
     config = SolverConfig(name, **merged)
     if any(per_k for _, per_k in steps.values()):
         if config.K_norm is None:
+            # every check, NUMBER/K read as NUMBER, precedes the seeded norm
+            validate_config(dataclasses.replace(
+                config, **{key: value for key, (value, _) in steps.items()}))
             config.K_norm = operator_norm(problem.K, seed=config.seed)
         if config.K_norm == 0:
             raise ParameterError("NUMBER/K stepsizes need ||K|| > 0, got ||K|| = 0")
@@ -229,7 +232,8 @@ def cmd_run(args):
 
     f_star = args.fstar
     provenance = "user-supplied" if f_star is not None else None
-    if f_star is None and args.fstar_ref_iters:
+    ran_reference = f_star is None and bool(args.fstar_ref_iters)
+    if ran_reference:
         ref_cfg = dataclasses.replace(
             _solver_config(args.fstar_solver, args, file_cfg, problem),
             max_iters=args.fstar_ref_iters,
@@ -240,9 +244,6 @@ def cmd_run(args):
                                      record_time=not args.zero_time)
         f_star = float(np.nanmin(ref_trace.column("F")))
         provenance = f"{args.fstar_solver} reference run, {args.fstar_ref_iters} iterations"
-    if f_star is None and problem.F_star is not None:
-        f_star = problem.F_star
-        provenance = problem.F_star_provenance
 
     out.mkdir(parents=True, exist_ok=True)
     x0, y0 = _initial_points(problem, args)
@@ -278,24 +279,12 @@ def cmd_run(args):
             fits["F_gap_linear_rate"] = {"rate": rate, "r_squared": r2}
         except InsufficientDataError:
             fits["F_gap_linear_rate"] = None
-        payload = {
-            "solver": summary.solver,
-            "fits": fits,
-            "problem": problem.name,
-            "iterations": summary.iterations,
-            "elapsed": summary.elapsed,
-            "stop_reason": summary.stop_reason,
-            "k_norm": summary.k_norm,
-            "warnings": summary.warnings,
-            "final": summary.final,
-            "f_star": summary.f_star,
-            "f_star_provenance": summary.f_star_provenance,
-            "config": dataclasses.asdict(cfg),
-        }
+        payload = {**dataclasses.asdict(summary), "fits": fits, "problem": problem.name,
+                   "config": dataclasses.asdict(cfg)}
         write_json(out / f"{cfg.algorithm}_summary.json", payload)
         print(f"{cfg.algorithm}: {summary.iterations} iterations, "
               f"final F={summary.final.get('F')}")
-    if args.manifest and f_star is not None and provenance and "reference run" in provenance:
+    if args.manifest and ran_reference:
         update_manifest_f_star(args.manifest, f_star, provenance)
     return EXIT_NUMERIC if aborted else EXIT_OK
 

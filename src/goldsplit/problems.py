@@ -535,6 +535,8 @@ def _family(name):
 
 def generate_instance(spec: GenSpec):
     """Draw the instance a GenSpec describes with its family's generator."""
+    if not (spec.seed >= 0):
+        raise ParameterError(f"seed must be >= 0 (got {spec.seed})")
     return _family(spec.family).generate(seed=spec.seed, **spec.params)
 
 

@@ -130,6 +130,8 @@ def config_violations(config):
         v.append(f"max_iters must be >= 0 (got {config.max_iters})")
     if not (config.trace_stride >= 1):
         v.append(f"trace_stride must be >= 1 (got {config.trace_stride})")
+    if not (config.seed >= 0):
+        v.append(f"seed must be >= 0 (got {config.seed})")
     if not (math.isfinite(config.stop_tol) and config.stop_tol >= 0):
         v.append(f"stop_tol must be finite and >= 0 (got {config.stop_tol})")
     if config.K_norm is not None and not (0 <= config.K_norm < math.inf):
@@ -188,7 +190,6 @@ class SolverState:
     grad_x: np.ndarray
     Kx: np.ndarray
     tau: float
-    tau_prev: float
     sigma: float
     theta: float
     theta_prev: float
@@ -349,7 +350,6 @@ def init_state(problem, config, x0=None, y0=None):
         grad_x=views["grad_x"],
         Kx=views["Kx"],
         tau=tau,
-        tau_prev=tau,
         sigma=sigma,
         theta=config.theta0,
         theta_prev=config.theta0,
@@ -471,7 +471,6 @@ def _golden_step(state, problem, config, scheme):
     work.Kx_spare, state.Kx = state.Kx, Kx_new
     if scheme.smooth:
         work.grad_spare, state.grad_x = state.grad_x, grad_new
-    state.tau_prev = tau
     state.tau = tau_new
     state.sigma = sigma
     state.theta_prev = state.theta
@@ -566,7 +565,6 @@ def _agraal_step(state, problem, config, scheme):
     if scheme.smooth:
         work.h_grad(x_new, work.grad_spare)
         work.grad_spare, state.grad_x = state.grad_x, work.grad_spare
-    state.tau_prev = lam
     state.tau = lam_new
     state.sigma = lam_new
     state.theta_prev = state.theta

@@ -1,67 +1,19 @@
-"""End-to-end acceptance battery, one test per criterion.
+"""End-to-end acceptance battery, one test case per registered criterion.
 
-Each test runs its criterion at the stated tolerance and prints a single
+Each case runs its criterion at the stated tolerance and prints a single
 pass/fail line (run pytest with -s or look at captured output). The same
 checks back ``goldsplit verify``.
 """
 
+import pytest
+
 from goldsplit import acceptance
 
 
-def _run(name):
-    result = acceptance.CRITERIA[name]()
+@pytest.mark.parametrize("key", list(acceptance.CRITERIA))
+def test_criterion(key):
+    result = acceptance.CRITERIA[key]()
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.name} [{result.elapsed:.1f}s]: {result.detail}")
+    assert result.name.startswith(key.replace("_", " ") + " (")
     assert result.passed, result.detail
-
-
-def test_criterion_01_prox_oracle_equivalence():
-    _run("criterion_1")
-
-
-def test_criterion_02_operator_correctness():
-    _run("criterion_2")
-
-
-def test_criterion_03_nonincreasing_stepsize_floor():
-    _run("criterion_3")
-
-
-def test_criterion_04_adaptive_stepsize_bounds():
-    _run("criterion_4")
-
-
-def test_criterion_05_global_convergence():
-    _run("criterion_5")
-
-
-def test_criterion_06_ergodic_rate():
-    _run("criterion_6")
-
-
-def test_criterion_07_geometric_decay():
-    _run("criterion_7")
-
-
-def test_criterion_08_extended_region():
-    _run("criterion_8")
-
-
-def test_criterion_09_zero_step_conventions():
-    _run("criterion_9")
-
-
-def test_criterion_10a_sparse_regression_scale():
-    _run("criterion_10a")
-
-
-def test_criterion_10b_inpainting_recovery():
-    _run("criterion_10b")
-
-
-def test_criterion_10c_graph_recovery():
-    _run("criterion_10c")
-
-
-def test_criterion_11_determinism():
-    _run("criterion_11")

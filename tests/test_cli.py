@@ -258,6 +258,10 @@ _BAD_INPUTS = {
     "ill-typed-k-norm-per-k": (["--config", "{dir}/cfg.json", *_PER_K_STEPS],
                                _write_config({"pdhg": {"K_norm": "2"}}),
                                "config key 'K_norm' must be a number or null, got \"2\""),
+    "negative-seed-per-k": (["--seed", "-1", *_PER_K_STEPS], None, "seed must be >= 0 (got -1)"),
+    "negative-config-seed-per-k": (["--config", "{dir}/cfg.json", *_PER_K_STEPS],
+                                   _write_config({"defaults": {"seed": -1}}),
+                                   "seed must be >= 0 (got -1)"),
 }
 
 
@@ -309,6 +313,27 @@ def test_generate_foreign_flag_is_one_line_usage_error(tmp_path, capsys, case):
     code = main(["generate", *flags, "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "lasso", "--m", "20", "--n", "40", "--s", "3", "--seed", "-1"],
+    ["--family", "inpainting", "--rows", "8", "--cols", "8", "--seed", "-3"],
+], ids=["lasso", "inpainting"])
+def test_generate_negative_seed_is_one_line_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "inst"
+    assert main(["generate", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: seed must be >= 0 (got {flags[-1]})"]
+    assert not out.exists()
+
+
+def test_run_negative_seed_is_usage_error_for_a_scheme_that_ignores_it(tmp_path, capsys):
+    manifest = _generate_lasso(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(["run", "--manifest", str(manifest), "--solvers", "pgrpda", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0 (got -1)"]
     assert not out.exists()
 
 
@@ -459,6 +484,22 @@ def test_run_fstar_reference(tmp_path):
     assert json.loads(manifest.read_text())["F_star"]["value"] == summary["f_star"]
 
 
+def test_run_with_a_stored_reference_leaves_the_manifest_alone(tmp_path):
+    manifest = _generate_lasso(tmp_path)
+    assert main(["run", "--manifest", str(manifest), "--solvers", "pgrpda", "--max-iters", "50",
+                 "--fstar-ref-iters", "200", "--out", str(tmp_path / "ref")]) == 0
+    stored = json.loads(manifest.read_text())["F_star"]
+    assert stored["provenance"] == "aegrpda reference run, 200 iterations"
+    before = (manifest.read_bytes(), manifest.stat().st_mtime_ns)
+    out = tmp_path / "plain"
+    assert main(["run", "--manifest", str(manifest), "--solvers", "pgrpda",
+                 "--max-iters", "50", "--out", str(out)]) == 0
+    assert (manifest.read_bytes(), manifest.stat().st_mtime_ns) == before
+    summary = json.loads((out / "pgrpda_summary.json").read_text())
+    assert summary["f_star"] == stored["value"]
+    assert summary["f_star_provenance"] == stored["provenance"]
+
+
 def test_generate_inpainting_from_pgm(tmp_path):
     img_path = tmp_path / "img.pgm"
     write_pgm(img_path, synthetic_blocks_image(16, 16))
@@ -518,3 +559,21 @@ def test_verify_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(acceptance.SUITES, "red", ["always_red"])
     assert main(["verify", "--suite", "red"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_suites_hold_the_criteria_in_file_order():
+    from goldsplit import acceptance
+
+    keys = [f"criterion_{k}" for k in
+            ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10a", "10b", "10c", "11")]
+    assert list(acceptance.CRITERIA) == keys
+    assert list(acceptance.SUITES.items()) == [
+        ("prox", ["criterion_1"]),
+        ("operators", ["criterion_2"]),
+        ("stepsize", ["criterion_3", "criterion_4", "criterion_9"]),
+        ("convergence", ["criterion_5", "criterion_8"]),
+        ("rates", ["criterion_6", "criterion_7"]),
+        ("experiments", ["criterion_10a", "criterion_10b", "criterion_10c"]),
+        ("determinism", ["criterion_11"]),
+        ("all", keys),
+    ]

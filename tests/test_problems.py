@@ -408,6 +408,15 @@ def test_generated_instances_are_consistent(make, rng):
         assert math.isfinite(objective(p, p.x_true))
 
 
+@pytest.mark.parametrize("spec", [
+    GenSpec("lasso", {"m": 20, "n": 40, "s": 3}, -1),
+    GenSpec("inpainting", {"rows": 8, "cols": 8}, -3),
+], ids=lambda s: s.family)
+def test_negative_seed_is_parameter_error(spec):
+    with pytest.raises(ParameterError, match=rf"seed must be >= 0 \(got {spec.seed}\)"):
+        generate_instance(spec)
+
+
 # ---------------------------------------------------------------------------
 # manifests and image I/O
 

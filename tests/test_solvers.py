@@ -107,6 +107,13 @@ def test_validate_fixed_step_solvers_need_tau_sigma():
     assert not config_violations(SolverConfig("pdhg", tau=0.1, sigma=0.1))
 
 
+def test_negative_seed_is_config_error_before_any_norm():
+    assert config_violations(SolverConfig("pgrpda", seed=-1)) == ["seed must be >= 0 (got -1)"]
+    with pytest.raises(ConfigError) as exc:
+        run_solver(gen_lasso(20, 40, 3, seed=1), SolverConfig("aegrpda", seed=-1))
+    assert exc.value.violations == ["seed must be >= 0 (got -1)"]
+
+
 def test_validate_unknown_algorithm():
     assert config_violations(SolverConfig("nope")) == ["unknown algorithm 'nope'"]
 
@@ -420,7 +427,6 @@ def _agraal_step_fresh(state, problem, config, scheme):
     state.Kx = problem.K.matvec(x_new)
     if scheme.smooth:
         state.grad_x = problem.h.grad(x_new)
-    state.tau_prev = lam
     state.tau = lam_new
     state.sigma = lam_new
     state.theta_prev = state.theta
@@ -974,7 +980,7 @@ def test_nan_in_dual_iterate_aborts_at_its_iteration():
 def test_finite_check_scans_entries_when_square_sums_overflow():
     x = np.full(4, 1e200)
     state = solvers.SolverState(
-        x=x, z=x, y=-x, w=x, x_prev=x, grad_x=x, Kx=x, tau=1.0, tau_prev=1.0,
+        x=x, z=x, y=-x, w=x, x_prev=x, grad_x=x, Kx=x, tau=1.0,
         sigma=1.0, theta=1.0, theta_prev=1.0, dx_norm=math.inf,
     )
     assert solvers._finite_iterates(state)
@@ -990,7 +996,7 @@ def test_finite_check_emits_no_warning_on_overflow_or_nan():
     # rather than the run loop printing a RuntimeWarning per iteration
     y = np.full(50, 1e200)
     state = solvers.SolverState(
-        x=y, z=y, y=y, w=y, x_prev=y, grad_x=y, Kx=y, tau=1.0, tau_prev=1.0,
+        x=y, z=y, y=y, w=y, x_prev=y, grad_x=y, Kx=y, tau=1.0,
         sigma=1.0, theta=1.0, theta_prev=1.0, dx_norm=1.0,
     )
     bad = y.copy()

@@ -21,9 +21,18 @@ file (``CONFIG``, written into the script's temp directory) instead of
 flags, so the merge of ``--config`` sections into each solver's
 configuration is fingerprinted as well.
 
+The last line fingerprints the acceptance battery's cheap suites:
+
+    verify exit=<code> report=<sha256|->
+
+``report`` hashes the ``--report`` JSON of ``goldsplit verify --suite
+VERIFY_SUITES`` with every ``elapsed`` removed, so a change to any check,
+its name or its detail shows, and its timing does not.
+
 Run it on two checkouts and diff the outputs: a refactor or a speed-up that
-keeps every iterate prints the same lines. Warnings are printed without
-their source location, so moving a line of code does not change them.
+keeps every iterate and every check prints the same lines. Warnings are
+printed without their source location, so moving a line of code does not
+change them.
 """
 
 from __future__ import annotations
@@ -79,6 +88,9 @@ SETTINGS = {
     "logistic-2": ("libsvm", ["--setting", "2", *_STEPS]),
     "lasso-config": ("lasso", ["--config", "{tmp}/config.json"]),
 }
+
+# the acceptance suites of the verify line (about 4 s on a 2-core host)
+VERIFY_SUITES = "prox,operators,stepsize,determinism"
 
 # the --config file of the lasso-config setting
 CONFIG = {
@@ -162,6 +174,17 @@ def main(argv=None):
                 print(f"{setting} {solver} exit={proc.returncode} csv={csv} "
                       f"summary={summary} cviol={cviol} stderr={json.dumps(stderr)}",
                       flush=True)
+        report_path = tmp / "verify.json"
+        proc = _cli(args.checkout, ["verify", "--suite", VERIFY_SUITES,
+                                    "--report", str(report_path)])
+        report = "-"
+        if report_path.exists():
+            payload = json.loads(report_path.read_text())
+            payload.pop("elapsed")
+            for check in payload["checks"]:
+                check.pop("elapsed")
+            report = _sha(json.dumps(payload, sort_keys=True))
+        print(f"verify exit={proc.returncode} report={report}", flush=True)
 
 
 if __name__ == "__main__":
