@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad flags,
 unreadable or malformed input files, rejected parameters), 3 numeric
-abort (``run`` still runs the solvers listed after the one that aborted).
+abort (``run`` still runs the solvers listed after the one that aborted;
+an abort of the ``--fstar-ref-iters`` reference run ends it).
 All numeric parameters travel through flags, one per SolverConfig field;
 ``--config FILE`` supplies the same fields as JSON, and flags win.
 Stepsizes accept a plain number or ``<number>/K``, which divides by the
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -212,6 +214,13 @@ def cmd_run(args):
         print(f"error: output directory {out} is not empty (use --overwrite)",
               file=sys.stderr)
         return EXIT_USAGE
+    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
+    if not solvers:
+        raise ParameterError(f"--solvers names no solver (got {args.solvers!r})")
+    if args.fstar is not None and not math.isfinite(args.fstar):
+        raise ParameterError(f"--fstar must be finite (got {args.fstar})")
+    if args.fstar_ref_iters is not None and args.fstar_ref_iters < 1:
+        raise ParameterError(f"--fstar-ref-iters must be >= 1 (got {args.fstar_ref_iters})")
     problem = _load_problem(args)
     file_cfg = {}
     if args.config:
@@ -222,7 +231,6 @@ def cmd_run(args):
         if not isinstance(file_cfg, dict):
             raise GoldsplitError(f"--config {args.config} must hold a JSON object")
 
-    solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     configs = []
     for name in solvers:
         if name not in ALGORITHM_NAMES:
@@ -232,7 +240,7 @@ def cmd_run(args):
 
     f_star = args.fstar
     provenance = "user-supplied" if f_star is not None else None
-    ran_reference = f_star is None and bool(args.fstar_ref_iters)
+    ran_reference = f_star is None and args.fstar_ref_iters is not None
     if ran_reference:
         ref_cfg = dataclasses.replace(
             _solver_config(args.fstar_solver, args, file_cfg, problem),
@@ -316,6 +324,10 @@ def main(argv=None):
             return cmd_run(args)
         if args.command == "verify":
             return cmd_verify(args)
+    except NumericAbort as exc:
+        # only a reference run's abort gets here, before --out is made
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (GoldsplitError, OSError) as exc:
         # bad flags and unreadable or malformed inputs end in one line, not a traceback
         print(f"error: {exc}", file=sys.stderr)

@@ -251,9 +251,12 @@ class FirstDifference(LinearOperator):
         return out
 
     def exact_norm(self):
-        # the largest eigenvalue of the path Laplacian D^T D is
-        # 4 sin^2(pi (n-1) / 2n)
-        return 2.0 * math.sin(math.pi * (self.n - 1) / (2 * self.n))
+        return _path_norm(self.n)
+
+
+def _path_norm(n):
+    """||D|| of the n-point first difference; D^T D's top eigenvalue is 4 sin^2(pi (n-1) / 2n)."""
+    return 2.0 * math.sin(math.pi * (n - 1) / (2 * n))
 
 
 def _grid_norm(rows, cols):
@@ -262,10 +265,7 @@ def _grid_norm(rows, cols):
     D^T D is the Laplacian of the grid graph, the Kronecker sum of two path
     Laplacians, so its largest eigenvalue is the sum of theirs.
     """
-    return math.hypot(
-        2.0 * math.sin(math.pi * (rows - 1) / (2 * rows)),
-        2.0 * math.sin(math.pi * (cols - 1) / (2 * cols)),
-    )
+    return math.hypot(_path_norm(rows), _path_norm(cols))
 
 
 class GridIncidence(CsrOperator):

@@ -139,32 +139,25 @@ class IterationTrace:
         return trace
 
 
-def _usable(ns, values):
-    ns = np.asarray(ns, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    good = np.isfinite(values) & (values > 0) & np.isfinite(ns)
-    return ns[good], values[good], int(np.size(values) - good.sum())
-
-
-def fit_loglog(ns, values):
-    """Least-squares slope of log(value) against log(n).
+def _rate_fit(ns, values, transform, what):
+    """Least-squares line of log(value) against transform(n).
 
     Non-positive and non-finite values are dropped (never clamped).
     Returns (slope, intercept, r_squared, n_dropped); raises
-    InsufficientDataError below 5 usable points.
+    InsufficientDataError below 5 usable points, naming ``what``.
     """
-    ns, values, dropped = _usable(ns, values)
-    if len(ns) < 5:
-        raise InsufficientDataError(f"only {len(ns)} usable points for a log-log fit")
-    return _line_fit(np.log(ns), np.log(values)) + (dropped,)
+    ns = np.asarray(ns, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    good = np.isfinite(values) & (values > 0) & np.isfinite(ns)
+    usable = int(good.sum())
+    if usable < 5:
+        raise InsufficientDataError(f"only {usable} usable points for {what}")
+    return _line_fit(transform(ns[good]), np.log(values[good])) + (np.size(values) - usable,)
 
 
 def fit_loglinear(ns, values):
     """Least-squares fit of log(value) against n; returns (rate, intercept, R^2, dropped)."""
-    ns, values, dropped = _usable(ns, values)
-    if len(ns) < 5:
-        raise InsufficientDataError(f"only {len(ns)} usable points for a rate fit")
-    return _line_fit(ns, np.log(values)) + (dropped,)
+    return _rate_fit(ns, values, lambda n: n, "a rate fit")
 
 
 def _line_fit(x, y):
@@ -183,7 +176,7 @@ def loglog_slope(trace, column, window):
     vals = trace.column(column)
     lo, hi = window
     mask = (ns >= lo) & (ns <= hi)
-    slope, _, _, _ = fit_loglog(ns[mask], vals[mask])
+    slope, _, _, _ = _rate_fit(ns[mask], vals[mask], np.log, "a log-log fit")
     return slope
 
 

@@ -30,7 +30,6 @@ from .errors import (
     ParseError,
 )
 from .linops import (
-    CsrOperator,
     DenseOperator,
     DiscreteGradient2D,
     FirstDifference,
@@ -38,6 +37,7 @@ from .linops import (
     IdentityOperator,
     LinearOperator,
     Shape,
+    csr_from_triplets,
     graph_laplacian,
     into,
 )
@@ -212,8 +212,6 @@ def parse_libsvm(path, n_features=None):
     feature values that are NaN or infinite, raise ParseError with their line
     number.
     """
-    import scipy.sparse as sp
-
     rows, cols, vals, raw_labels = [], [], [], []
     max_col = 0
     with open(path, "rb") as fh:
@@ -255,10 +253,7 @@ def parse_libsvm(path, n_features=None):
     if n_features is not None and max_col > n_features:
         raise ParseError(f"index {max_col} exceeds n_features={n_features}")
     labels = _remap_labels(np.asarray(raw_labels))
-    mat = sp.coo_matrix(
-        (np.asarray(vals, dtype=np.float64), (rows, cols)), shape=(m, n)
-    ).tocsr()
-    return CsrOperator(mat), labels
+    return csr_from_triplets(m, n, zip(rows, cols, vals)), labels
 
 
 def _remap_labels(raw):
@@ -287,24 +282,23 @@ def write_libsvm(path, op, labels):
             fh.write(" ".join(parts) + "\n")
 
 
-def conjugate_gradient_solve(op, rhs, tol=1e-8, max_iter=1000, check_symmetry=True):
+def conjugate_gradient_solve(op, rhs, tol=1e-8, max_iter=1000):
     """Conjugate gradients for a symmetric positive semidefinite system.
 
     Returns x with ||op(x) - rhs|| <= tol ||rhs|| or after ``max_iter``
-    sweeps. The symmetry contract is probed on one seeded random pair and
-    a violation raises ContractError.
+    sweeps. The symmetry contract is always probed, on one pair drawn from
+    its own seeded generator, and a violation raises ContractError.
     """
     if tol <= 0:
         raise ParameterError("tol must be positive")
     rhs = np.asarray(rhs, dtype=np.float64)
-    if check_symmetry:
-        probe = np.random.default_rng(0)
-        u = probe.standard_normal(rhs.shape[0])
-        v = probe.standard_normal(rhs.shape[0])
-        lhs = float(op.matvec(u) @ v)
-        rht = float(u @ op.matvec(v))
-        if abs(lhs - rht) > 1e-8 * (1.0 + abs(lhs)):
-            raise ContractError("operator is not symmetric; CG needs op = op^T")
+    probe = np.random.default_rng(0)
+    u = probe.standard_normal(rhs.shape[0])
+    v = probe.standard_normal(rhs.shape[0])
+    lhs = float(op.matvec(u) @ v)
+    rht = float(u @ op.matvec(v))
+    if abs(lhs - rht) > 1e-8 * (1.0 + abs(lhs)):
+        raise ContractError("operator is not symmetric; CG needs op = op^T")
     x = np.zeros_like(rhs)
     r = rhs.copy()
     rhs_norm = float(np.linalg.norm(rhs))
@@ -382,9 +376,7 @@ def gen_graphnet(
     rng = np.random.default_rng(seed)
     W = graph_laplacian(GridIncidence(n1, n2))
     x0 = rng.standard_normal(n)
-    x_smth = conjugate_gradient_solve(
-        _TikhonovSystem(alpha, W), x0, tol=1e-8, max_iter=1000, check_symmetry=False
-    )
+    x_smth = conjugate_gradient_solve(_TikhonovSystem(alpha, W), x0, tol=1e-8, max_iter=1000)
     magnitudes = np.abs(x_smth)
     threshold = np.partition(magnitudes, n - k)[n - k]
     x_true = np.where(magnitudes >= threshold, x_smth, 0.0)
@@ -549,7 +541,7 @@ _JSON_KINDS = {dict: "an object", list: "an array", str: "a string",
 
 def _field(mapping, key, kind, where):
     """mapping[key], checked against KIND: one of _JSON_KINDS or a tuple of
-    admissible values. A missing or ill-typed key is a DataError naming it."""
+    admissible values. A missing, ill-typed or non-finite key is a DataError naming it."""
     if key not in mapping:
         raise DataError(f"{where} lacks {key!r}")
     value = mapping[key]
@@ -561,6 +553,8 @@ def _field(mapping, key, kind, where):
     if not isinstance(value, types) or isinstance(value, bool):
         raise DataError(f"{where}: {key!r} must be {_JSON_KINDS[kind]}, "
                         f"got {type(value).__name__}")
+    if kind is float and not math.isfinite(value):
+        raise DataError(f"{where}: {key!r} must be finite, got {value}")
     return value
 
 

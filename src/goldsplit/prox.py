@@ -127,8 +127,6 @@ def prox_group_l21(v, t, lam, n_pixels, out=None):
 class ProxOracle:
     """Base class: a convex function with an easy proximal map."""
 
-    kind = "abstract"
-
     def value(self, v):
         raise NotImplementedError
 
@@ -138,8 +136,6 @@ class ProxOracle:
 
 class ZeroProx(ProxOracle):
     """The zero function; its prox is the identity for every step."""
-
-    kind = "zero"
 
     def value(self, v):
         return 0.0
@@ -151,8 +147,6 @@ class ZeroProx(ProxOracle):
 
 class L1Prox(ProxOracle):
     """lam * ||.||_1 with the soft-thresholding prox."""
-
-    kind = "l1"
 
     def __init__(self, lam):
         if lam < 0:
@@ -168,8 +162,6 @@ class L1Prox(ProxOracle):
 
 class GroupL21Prox(ProxOracle):
     """Isotropic group penalty lam * sum_p ||(v_h[p], v_v[p])||_2."""
-
-    kind = "group_l21"
 
     def __init__(self, lam, n_pixels):
         if lam < 0:
@@ -201,10 +193,6 @@ class SquaredL2Prox(ProxOracle):
         self.weight = weight
         self.offset = None if offset is None else np.asarray(offset, dtype=np.float64)
 
-    @property
-    def kind(self):
-        return "sq_l2_translated" if self.offset is not None else "scaled_sq_l2"
-
     def value(self, v):
         d = v if self.offset is None else v - self.offset
         return 0.5 * self.weight * float(d @ d)
@@ -229,8 +217,6 @@ def _as_operator(A):
 class SmoothOracle:
     """Base class: a convex differentiable function with known smoothness."""
 
-    kind = "abstract"
-
     def value(self, x):
         raise NotImplementedError
 
@@ -244,8 +230,6 @@ class SmoothOracle:
 
 class ZeroSmooth(SmoothOracle):
     """h = 0."""
-
-    kind = "zero"
 
     def value(self, x):
         return 0.0
@@ -267,8 +251,6 @@ class LeastSquares(SmoothOracle):
     ``operator_norm``: computed on first use and kept on A.
     """
 
-    kind = "least_squares"
-
     def __init__(self, A, b, scale=1.0):
         self.A = _as_operator(A)
         self.b = np.asarray(b, dtype=np.float64)
@@ -289,8 +271,6 @@ class LeastSquares(SmoothOracle):
 
 class MaskedLeastSquares(SmoothOracle):
     """1/2 * ||M .* (x - b)||^2 for a binary mask M; the gradient is M .* (x - b)."""
-
-    kind = "masked_least_squares"
 
     def __init__(self, mask, b):
         mask = np.asarray(mask, dtype=np.float64)
@@ -322,8 +302,6 @@ class Logistic(SmoothOracle):
     ||A||^2 / 4.
     """
 
-    kind = "logistic"
-
     def __init__(self, A, labels):
         self.A = _as_operator(A)
         labels = np.asarray(labels, dtype=np.float64)
@@ -351,8 +329,6 @@ class Logistic(SmoothOracle):
 class QuadraticRidge(SmoothOracle):
     """1/2 * ||A x - b||^2 + ridge/2 * ||x||^2; strongly convex with modulus >= ridge."""
 
-    kind = "quadratic_ridge"
-
     def __init__(self, A, b, ridge):
         if ridge <= 0:
             raise ParameterError("ridge must be positive")
@@ -378,8 +354,6 @@ class QuadraticRidge(SmoothOracle):
 
 class SumSmooth(SmoothOracle):
     """Sum of smooth oracles."""
-
-    kind = "sum"
 
     def __init__(self, parts):
         self.parts = list(parts)

@@ -59,7 +59,6 @@ from .stepsizes import (  # noqa: F401  (GOLDEN and the public rules are re-expo
     _egrpda_region,
     _finite_positive,
     _grpda_region,
-    _local_lipschitz,
     _pdhg_region,
     _pgrpda_tau,
     aegrpda_tau_update,
@@ -411,7 +410,7 @@ def _adaptive_policy(state, config, ndx, x_new, Kx_new, grad_new):
     """aegrpda: grow or shrink tau from a local Lipschitz estimate and ||K||."""
     if config.K_norm is None:
         raise ParameterError("aegrpda needs K_norm; pass it in the config or use run_solver")
-    L = None if _negligible(ndx, x_new) else _local_lipschitz(_grad_change(state, grad_new), ndx)
+    L = None if _negligible(ndx, x_new) else _grad_change(state, grad_new) / ndx
     tau_new, theta_new = aegrpda_tau_update(state.tau, state.theta, L, config.K_norm,
                                             config.beta, config.psi, config.effective_rho,
                                             config.tau_max)
@@ -443,6 +442,31 @@ def _primal_step(state, center, tau, smooth):
     return x_new, work.Kx_spare
 
 
+def _golden_average(psi, current, anchor, out):
+    """((psi - 1) current + anchor) / psi, written into ``out``."""
+    np.multiply(psi - 1.0, current, out)
+    np.add(out, anchor, out)
+    return np.divide(out, psi, out)
+
+
+def _new_grad(state, x_new, smooth):
+    """grad h(x_new) in ``grad_spare``; None when the step leaves h out."""
+    if not smooth:
+        return None
+    state.work.h_grad(x_new, state.work.grad_spare)
+    return state.work.grad_spare
+
+
+def _advance(state, x_new, Kx_new, grad_new):
+    """Commit a step: x rotates into x_prev, y, K x and grad h (unless None) swap in."""
+    work = state.work
+    work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
+    work.y_spare, state.y = state.y, work.y_spare
+    work.Kx_spare, state.Kx = state.Kx, Kx_new
+    if grad_new is not None:
+        work.grad_spare, state.grad_x = state.grad_x, grad_new
+
+
 def _golden_step(state, problem, config, scheme):
     """One golden-ratio step; the scheme supplies the stepsize policy.
 
@@ -450,27 +474,15 @@ def _golden_step(state, problem, config, scheme):
     with the lagged gradient of h unless the scheme leaves the smooth term
     out (then grad h is never called); the dual step uses the new sigma.
     """
-    psi = config.psi
-    tau = state.tau
     work = state.work
-    z = work.z_spare
-    np.multiply(psi - 1.0, state.x, z)
-    np.add(z, state.z, z)
-    np.divide(z, psi, z)
-    x_new, Kx_new = _primal_step(state, z, tau, scheme.smooth)
-    grad_new = None
-    if scheme.smooth:
-        grad_new = work.grad_spare
-        work.h_grad(x_new, grad_new)
+    z = _golden_average(config.psi, state.x, state.z, work.z_spare)
+    x_new, Kx_new = _primal_step(state, z, state.tau, scheme.smooth)
+    grad_new = _new_grad(state, x_new, scheme.smooth)
     ndx = _norm(np.subtract(x_new, state.x, work.scratch_n))
     tau_new, sigma, theta, L = scheme.policy(state, config, ndx, x_new, Kx_new, grad_new)
     _dual_step(state, config, state.y, Kx_new, sigma, state.w, work.y_spare)
-    work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
+    _advance(state, x_new, Kx_new, grad_new)
     work.z_spare, state.z = state.z, z
-    work.y_spare, state.y = state.y, work.y_spare
-    work.Kx_spare, state.Kx = state.Kx, Kx_new
-    if scheme.smooth:
-        work.grad_spare, state.grad_x = state.grad_x, grad_new
     state.tau = tau_new
     state.sigma = sigma
     state.theta_prev = state.theta
@@ -494,13 +506,8 @@ def _condat_vu_step(state, problem, config, scheme):
     np.subtract(u, state.Kx, u)
     _dual_step(state, config, state.y, u, state.sigma, state.w, work.y_spare)
     state.dx_norm = _norm(np.subtract(x_new, state.x, work.scratch_n))
-    work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
+    _advance(state, x_new, Kx_new, _new_grad(state, x_new, scheme.smooth))
     state.z = state.x_prev
-    work.y_spare, state.y = state.y, work.y_spare
-    work.Kx_spare, state.Kx = state.Kx, Kx_new
-    if scheme.smooth:
-        work.h_grad(x_new, work.grad_spare)
-        work.grad_spare, state.grad_x = state.grad_x, work.grad_spare
     return state
 
 
@@ -540,31 +547,22 @@ def _agraal_step(state, problem, config, scheme):
     if math.sqrt(du2) > _STEP_NOISE_FLOOR * scale and dF2 > 0.0:
         candidates.append(psi * state.theta / (4.0 * lam) * du2 / dF2)
     lam_new = min(candidates)
-    x_bar = work.z_spare
-    np.multiply(psi - 1.0, state.x, x_bar)
-    np.add(x_bar, state.z, x_bar)
-    np.divide(x_bar, psi, x_bar)
+    x_bar = _golden_average(psi, state.x, state.z, work.z_spare)
     np.multiply(lam_new, Fx, sn)
     np.subtract(x_bar, sn, sn)
     x_new = work.x_spare
     work.f_prox(sn, lam_new, x_new)
-    y_bar = work.y_bar_spare
-    np.multiply(psi - 1.0, state.y, y_bar)
-    np.add(y_bar, state.y_bar, y_bar)
-    np.divide(y_bar, psi, y_bar)
+    y_bar = _golden_average(psi, state.y, state.y_bar, work.y_bar_spare)
     _dual_step(state, config, y_bar, state.Kx, lam_new, state.w, work.y_spare)
     state.dx_norm = _norm(np.subtract(x_new, state.x, sn))
-    work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
-    work.y_spare, state.y_prev, state.y = state.y_prev, state.y, work.y_spare
+    work.matvec(x_new, work.Kx_spare)
+    _advance(state, x_new, work.Kx_spare, _new_grad(state, x_new, scheme.smooth))
+    # _advance left the previous y in y_spare
+    work.y_spare, state.y_prev = state.y_prev, work.y_spare
     work.Fx_spare, state.Fx_prev = state.Fx_prev, Fx
     work.Fy_spare, state.Fy_prev = state.Fy_prev, Fy
     work.z_spare, state.z = state.z, x_bar
     work.y_bar_spare, state.y_bar = state.y_bar, y_bar
-    work.matvec(x_new, work.Kx_spare)
-    work.Kx_spare, state.Kx = state.Kx, work.Kx_spare
-    if scheme.smooth:
-        work.h_grad(x_new, work.grad_spare)
-        work.grad_spare, state.grad_x = state.grad_x, work.grad_spare
     state.tau = lam_new
     state.sigma = lam_new
     state.theta_prev = state.theta

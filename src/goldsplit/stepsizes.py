@@ -130,11 +130,8 @@ def local_lipschitz(dgrad, dx):
     The None sentinel routes the caller to the growth branch of the
     adaptive stepsize update.
     """
-    return _local_lipschitz(_norm(dgrad), _norm(dx))
-
-
-def _local_lipschitz(ndg, ndx):
-    return None if ndx == 0.0 else ndg / ndx
+    ndx = _norm(dx)
+    return None if ndx == 0.0 else _norm(dgrad) / ndx
 
 
 def aegrpda_tau_update(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_max):

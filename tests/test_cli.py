@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
 from goldsplit.cli import _build_parser, main
+from goldsplit.errors import DataError
 from goldsplit.linops import operator_norm
 from goldsplit.metrics import IterationTrace
 from goldsplit.problems import load_instance, synthetic_blocks_image, write_pgm
@@ -482,6 +485,73 @@ def test_run_fstar_reference(tmp_path):
     assert np.all(np.isfinite(trace.column("F_gap")))
     # the manifest now carries the reference value
     assert json.loads(manifest.read_text())["F_star"]["value"] == summary["f_star"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::UserWarning")
+def test_reference_run_abort_exits_3_before_anything_is_written(tmp_path, capsys):
+    manifest = _generate_lasso(tmp_path)
+    before = manifest.read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    code = main([
+        "run", "--manifest", str(manifest), "--solvers", "pgrpda", "--fstar-solver", "pdhg",
+        "--tau", "10", "--sigma", "10", "--fstar-ref-iters", "2000", "--out", str(out),
+    ])
+    assert code == 3
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: pdhg: non-finite iterate"), errors
+    assert not out.exists() and manifest.read_bytes() == before
+
+
+# run flags rejected before the instance is read or --out is made, and the error line
+_BAD_RUN_FLAGS = {
+    "blank-solvers": (["--solvers", " "], "--solvers names no solver (got ' ')"),
+    "comma-solvers": (["--solvers", ","], "--solvers names no solver (got ',')"),
+    "nan-fstar": (["--solvers", "pgrpda", "--fstar", "nan"], "--fstar must be finite (got nan)"),
+    "inf-fstar": (["--solvers", "pgrpda", "--fstar", "inf"], "--fstar must be finite (got inf)"),
+    "zero-fstar-ref-iters": (["--solvers", "pgrpda", "--fstar-ref-iters", "0"],
+                             "--fstar-ref-iters must be >= 1 (got 0)"),
+    "negative-fstar-ref-iters": (["--solvers", "pgrpda", "--fstar-ref-iters", "-5"],
+                                 "--fstar-ref-iters must be >= 1 (got -5)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_RUN_FLAGS))
+def test_bad_run_flag_is_one_line_usage_error_naming_it(tmp_path, capsys, case):
+    flags, message = _BAD_RUN_FLAGS[case]
+    manifest = _generate_lasso(tmp_path)
+    before = manifest.read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(["run", "--manifest", str(manifest), *flags, "--max-iters", "5",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists() and manifest.read_bytes() == before
+
+
+# each case: an edit of the parsed manifest and the DataError it causes
+_NON_FINITE_MANIFEST = {
+    **{f"F_star-{value}": (lambda d, value=value: d.update(F_star={"value": value}),
+                           f"F_star: 'value' must be finite, got {value}")
+       for value in (math.nan, math.inf, -math.inf)},
+    "lam-nan": (lambda d: d["params"].update(lam=math.nan), "params: 'lam' must be finite, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE_MANIFEST))
+def test_non_finite_manifest_number_is_a_data_error(tmp_path, capsys, case):
+    edit, message = _NON_FINITE_MANIFEST[case]
+    manifest = _generate_lasso(tmp_path)
+    _edit_manifest(edit)(manifest)
+    with pytest.raises(DataError, match=re.escape(message)):
+        load_instance(manifest)
+    capsys.readouterr()
+    out = tmp_path / "runs"
+    assert main(["run", "--manifest", str(manifest), "--solvers", "pgrpda",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: manifest "), err
+    assert not out.exists()
 
 
 def test_run_with_a_stored_reference_leaves_the_manifest_alone(tmp_path):

@@ -19,7 +19,12 @@ a change that only re-rounds them differs in ``cviol`` alone.
 The ``lasso-config`` setting takes its parameters from a ``--config``
 file (``CONFIG``, written into the script's temp directory) instead of
 flags, so the merge of ``--config`` sections into each solver's
-configuration is fingerprinted as well.
+configuration is fingerprinted as well. The ``lasso-fstar-ref`` setting
+computes F\* with a 300-iteration ``--fstar-ref-iters`` reference run
+before each solver, so the reference run, and the F\* and provenance it
+puts in every summary, are fingerprinted too; it runs on its own copy of
+the lasso instance, because the reference run records F\* in the
+manifest, where the other lasso settings would read it.
 
 The last line fingerprints the acceptance battery's cheap suites:
 
@@ -60,6 +65,7 @@ _CLI = (
 
 INSTANCES = {
     "lasso": ["--family", "lasso", "--m", "50", "--n", "100", "--s", "5", "--seed", "1"],
+    "lasso_ref": ["--family", "lasso", "--m", "50", "--n", "100", "--s", "5", "--seed", "1"],
     "fused_lasso": ["--family", "fused_lasso", "--m", "40", "--n", "80", "--seed", "2"],
     "graphnet": ["--family", "graphnet", "--n1", "8", "--n2", "8", "--m", "40", "--seed", "3"],
     "strongly_convex": ["--family", "strongly_convex", "--m", "40", "--n", "60", "--seed", "4"],
@@ -87,6 +93,7 @@ SETTINGS = {
     "logistic-1": ("libsvm", ["--setting", "1", *_STEPS]),
     "logistic-2": ("libsvm", ["--setting", "2", *_STEPS]),
     "lasso-config": ("lasso", ["--config", "{tmp}/config.json"]),
+    "lasso-fstar-ref": ("lasso_ref", ["--y0", "neg-b", "--fstar-ref-iters", "300", *_STEPS]),
 }
 
 # the acceptance suites of the verify line (about 4 s on a 2-core host)
