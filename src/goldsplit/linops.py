@@ -105,10 +105,11 @@ class DenseOperator(LinearOperator):
 
     The applications compare shapes inline and call the shared checks only
     to raise, since on small vectors the call would cost about as much as
-    the product. With an ``out`` they call np.dot, which goes to BLAS with
-    less overhead than np.matmul and gives the same bytes; np.dot refuses
-    an ``out`` that is strided or of another dtype, and such an ``out``
-    goes through np.matmul, which casts and writes through strides.
+    the product. With an ``out`` they call ``ndarray.dot``, which goes to
+    BLAS with less overhead than np.matmul and gives the same bytes (it is
+    np.dot without the Python dispatch frame); it refuses an ``out`` that
+    is strided or of another dtype, and such an ``out`` goes through
+    np.matmul, which casts and writes through strides.
     """
 
     kind = "dense"
@@ -127,7 +128,7 @@ class DenseOperator(LinearOperator):
         if out is None:
             return self.matrix @ x
         try:
-            return np.dot(self.matrix, x, out)
+            return self.matrix.dot(x, out)
         except ValueError:
             return np.matmul(self.matrix, x, out)
 
@@ -137,7 +138,7 @@ class DenseOperator(LinearOperator):
         if out is None:
             return self._matrix_t @ y
         try:
-            return np.dot(self._matrix_t, y, out)
+            return self._matrix_t.dot(y, out)
         except ValueError:
             return np.matmul(self._matrix_t, y, out)
 

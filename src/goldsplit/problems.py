@@ -529,7 +529,11 @@ def generate_instance(spec: GenSpec):
     """Draw the instance a GenSpec describes with its family's generator."""
     if not (spec.seed >= 0):
         raise ParameterError(f"seed must be >= 0 (got {spec.seed})")
-    return _family(spec.family).generate(seed=spec.seed, **spec.params)
+    family = _family(spec.family)
+    for key, value in spec.params.items():
+        if family.params.get(key) is float and not math.isfinite(value):
+            raise ParameterError(f"{key} must be finite (got {value})")
+    return family.generate(seed=spec.seed, **spec.params)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Primal-dual iteration schemes and the shared run loop.
 
 Seven schemes operate on the splitting min_x f(x) + g(Kx) + h(x). The four
-golden-ratio schemes are one step (``_golden_step``) under a stepsize policy:
+golden-ratio schemes are one kernel (``_golden_kernel``) under a stepsize
+rule:
 
 * ``pgrpda``    nonincreasing primal stepsize from local operator and
                 curvature ratios,
@@ -11,21 +12,25 @@ golden-ratio schemes are one step (``_golden_step``) under a stepsize policy:
 * ``grpda``     fixed stepsizes with the smooth term left out (classical).
 
 ``pdhg`` (primal-dual hybrid gradient with unit extrapolation) and its
-gradient-aware extension ``condat_vu`` share one step and differ only in
+gradient-aware extension ``condat_vu`` share one kernel and differ only in
 their stepsize region; ``agraal`` is the fully adaptive golden-ratio scheme
 on the joint primal-dual vector field. ``SCHEMES`` holds one record per
-algorithm: step, policy, parameter checks and region warnings (the rules,
-checks and warnings themselves are in ``stepsizes``).
+algorithm: kernel builder, rule, parameter checks and region warnings (the
+rules, checks and warnings themselves are in ``stepsizes``). A kernel makes
+one whole iteration per call, bookkeeping included (see ``Scheme``), so an
+iteration on small vectors costs little beyond its oracle calls. Each
+ascends in the dual through the primal prox of g: w = prox_{g/s}(b/s + u)
+and y = b + s (u - w), which by Moreau is the prox of s g* at b + s u.
 
 Every scheme materializes the auxiliary variable w (the g-block of the
 splitting constraint Kx = w) so the constraint residual of the running
 ergodic averages is uniformly reportable.
 
 A run allocates its arrays once: ``init_state`` carves the state and every
-buffer the steps write into from one float64 block (see ``Workspace``), and
-the steps and the run loop write through ``out`` from then on. An oracle
-that is no ``LinearOperator``, ``ProxOracle`` or ``SmoothOracle`` is
-called without ``out`` and its result copied.
+buffer the kernels write into from one float64 block (see ``Workspace``),
+and the kernels write through ``out`` from then on. An oracle that is no
+``LinearOperator``, ``ProxOracle`` or ``SmoothOracle`` is called without
+``out`` and its result copied.
 """
 
 from __future__ import annotations
@@ -367,148 +372,136 @@ def init_state(problem, config, x0=None, y0=None):
     return state
 
 
-def _dual_step(state, config, base, u, sigma, w, y):
-    """Dual ascent through the primal prox of g, written into the views w and y.
-
-    w = prox_{g/sigma}(base/sigma + u) and y = base + sigma (u - w); by the
-    Moreau identity y equals the prox of sigma g* at base + sigma u. Neither
-    w nor y may overlap ``base`` or ``u``; y serves as scratch first. A
-    stepsize that has reached 0 (or NaN) aborts the current iteration.
-    """
-    if not sigma > 0.0:
-        raise NumericAbort(config.algorithm, state.n, "stepsize reached 0")
-    np.divide(base, sigma, y)
-    np.add(y, u, y)
-    state.work.g_prox(y, 1.0 / sigma, w)
-    np.subtract(u, w, y)
-    np.multiply(sigma, y, y)
-    np.add(base, y, y)
-
-
-def _negligible(ndx, x_new):
-    return ndx <= _STEP_NOISE_FLOOR * (1.0 + _norm(x_new))
-
-
-def _grad_change(state, grad_new):
-    """||grad h(x_new) - grad h(x)||; 0 when the step leaves h out."""
-    if grad_new is None:
-        return 0.0
-    return _norm(np.subtract(grad_new, state.grad_x, state.work.scratch_n))
-
-
-def _nonincreasing_policy(state, config, ndx, x_new, Kx_new, grad_new):
-    """pgrpda: shrink tau by the local operator and curvature ratios."""
-    tau = tau_new = state.tau
-    if not _negligible(ndx, x_new):
-        ndK = _norm(np.subtract(Kx_new, state.Kx, state.work.scratch_m))
-        tau_new = _pgrpda_tau(tau, ndx, ndK, _grad_change(state, grad_new),
-                              config.mu, config.mu_prime, config.beta)
-    return tau_new, config.beta * tau_new, tau_new / tau, state.L_local
-
-
-def _adaptive_policy(state, config, ndx, x_new, Kx_new, grad_new):
-    """aegrpda: grow or shrink tau from a local Lipschitz estimate and ||K||."""
-    if config.K_norm is None:
-        raise ParameterError("aegrpda needs K_norm; pass it in the config or use run_solver")
-    L = None if _negligible(ndx, x_new) else _grad_change(state, grad_new) / ndx
-    tau_new, theta_new = aegrpda_tau_update(state.tau, state.theta, L, config.K_norm,
-                                            config.beta, config.psi, config.effective_rho,
-                                            config.tau_max)
-    return tau_new, config.beta * tau_new, theta_new, L
-
-
-def _fixed_policy(state, config, ndx, x_new, Kx_new, grad_new):
-    """egrpda, grpda: keep the configured stepsizes."""
-    return state.tau, state.sigma, state.theta, state.L_local
-
-
-def _primal_step(state, center, tau, smooth):
-    """x_new = prox_{tau f}(center - tau K* y - tau grad h(x)) and K x_new.
-
-    Both go into their spare views; with ``smooth`` off the gradient term
-    is left out.
-    """
-    work = state.work
-    arg = work.scratch_n
-    work.rmatvec(state.y, arg)
-    np.multiply(tau, arg, arg)
-    np.subtract(center, arg, arg)
-    x_new = work.x_spare
-    if smooth:
-        np.multiply(tau, state.grad_x, x_new)  # x_new is free until the prox
-        np.subtract(arg, x_new, arg)
-    work.f_prox(arg, tau, x_new)
-    work.matvec(x_new, work.Kx_spare)
-    return x_new, work.Kx_spare
-
-
-def _golden_average(psi, current, anchor, out):
-    """((psi - 1) current + anchor) / psi, written into ``out``."""
-    np.multiply(psi - 1.0, current, out)
-    np.add(out, anchor, out)
-    return np.divide(out, psi, out)
-
-
-def _new_grad(state, x_new, smooth):
-    """grad h(x_new) in ``grad_spare``; None when the step leaves h out."""
-    if not smooth:
-        return None
-    state.work.h_grad(x_new, state.work.grad_spare)
-    return state.work.grad_spare
-
-
-def _advance(state, x_new, Kx_new, grad_new):
-    """Commit a step: x rotates into x_prev, y, K x and grad h (unless None) swap in."""
-    work = state.work
-    work.x_spare, state.x_prev, state.x = state.x_prev, state.x, x_new
-    work.y_spare, state.y = state.y, work.y_spare
-    work.Kx_spare, state.Kx = state.Kx, Kx_new
-    if grad_new is not None:
-        work.grad_spare, state.grad_x = state.grad_x, grad_new
-
-
-def _golden_step(state, problem, config, scheme):
-    """One golden-ratio step; the scheme supplies the stepsize policy.
+def _golden_kernel(state, problem, config, scheme):
+    """The golden-ratio iteration; the scheme's ``rule`` picks the stepsize branch.
 
     z averages the iterate with the previous z; the primal prox runs from z
     with the lagged gradient of h unless the scheme leaves the smooth term
     out (then grad h is never called); the dual step uses the new sigma.
+    The rules: ``nonincreasing`` (pgrpda) shrinks tau by the local operator
+    and curvature ratios, ``adaptive`` (aegrpda) grows or shrinks it from a
+    local Lipschitz estimate and ||K||, and ``fixed`` (egrpda, grpda) keeps
+    the configured stepsizes.
     """
     work = state.work
-    z = _golden_average(config.psi, state.x, state.z, work.z_spare)
-    x_new, Kx_new = _primal_step(state, z, state.tau, scheme.smooth)
-    grad_new = _new_grad(state, x_new, scheme.smooth)
-    ndx = _norm(np.subtract(x_new, state.x, work.scratch_n))
-    tau_new, sigma, theta, L = scheme.policy(state, config, ndx, x_new, Kx_new, grad_new)
-    _dual_step(state, config, state.y, Kx_new, sigma, state.w, work.y_spare)
-    _advance(state, x_new, Kx_new, grad_new)
-    work.z_spare, state.z = state.z, z
-    state.tau = tau_new
-    state.sigma = sigma
-    state.theta_prev = state.theta
-    state.theta = theta
-    state.L_local = L
-    state.dx_norm = ndx
-    return state
+    rmatvec, matvec, f_prox, g_prox, h_grad = (
+        work.rmatvec, work.matvec, work.f_prox, work.g_prox, work.h_grad)
+    sn, sm, w, x_sum, w_sum = work.scratch_n, work.scratch_m, state.w, state.x_sum, state.w_sum
+    smooth, name = scheme.smooth, config.algorithm
+    nonincreasing, adaptive = scheme.rule == "nonincreasing", scheme.rule == "adaptive"
+    psi, beta, mu, mu_prime = config.psi, config.beta, config.mu, config.mu_prime
+    rho, tau_max, K_norm = config.effective_rho, config.tau_max, config.K_norm
+    # the ufuncs get their scalars as 0-d arrays, made once and written in
+    # place: a ufunc takes one in about two thirds of the time of a Python
+    # float, with the same bytes; the oracles and Python arithmetic get floats
+    psi_op, psi_1_op, tau_op, sigma_op = map(np.array, (psi, psi - 1.0, 0.0, 0.0))
+
+    def step(n):
+        state.n = n
+        x, y, Kx, grad_x, tau = state.x, state.y, state.Kx, state.grad_x, state.tau
+        z, x_new, Kx_new, grad_new = work.z_spare, work.x_spare, work.Kx_spare, work.grad_spare
+        tau_op[()] = tau
+        np.divide(np.add(np.multiply(psi_1_op, x, z), state.z, z), psi_op, z)
+        np.subtract(z, np.multiply(tau_op, rmatvec(y, sn), sn), sn)
+        if smooth:  # x_new is free until the prox
+            np.subtract(sn, np.multiply(tau_op, grad_x, x_new), sn)
+        f_prox(sn, tau, x_new)
+        matvec(x_new, Kx_new)
+        if smooth:
+            h_grad(x_new, grad_new)
+        ndx = math.sqrt(np.subtract(x_new, x, sn).dot(sn))
+        # below the noise floor the ratios of the rules are undefined
+        if nonincreasing:
+            tau_new, L = tau, state.L_local
+            if not ndx <= _STEP_NOISE_FLOOR * (1.0 + math.sqrt(x_new.dot(x_new))):
+                ndK = math.sqrt(np.subtract(Kx_new, Kx, sm).dot(sm))
+                ndg = math.sqrt(np.subtract(grad_new, grad_x, sn).dot(sn)) if smooth else 0.0
+                tau_new = _pgrpda_tau(tau, ndx, ndK, ndg, mu, mu_prime, beta)
+            sigma, theta = beta * tau_new, tau_new / tau
+        elif adaptive:
+            if K_norm is None:
+                raise ParameterError("aegrpda needs K_norm; pass it in the config or use "
+                                     "run_solver")
+            L = None
+            if not ndx <= _STEP_NOISE_FLOOR * (1.0 + math.sqrt(x_new.dot(x_new))):
+                ndg = math.sqrt(np.subtract(grad_new, grad_x, sn).dot(sn)) if smooth else 0.0
+                L = ndg / ndx
+            tau_new, theta = aegrpda_tau_update(tau, state.theta, L, K_norm, beta, psi, rho,
+                                                tau_max)
+            sigma = beta * tau_new
+        else:
+            tau_new, sigma, theta, L = tau, state.sigma, state.theta, state.L_local
+        if not sigma > 0.0:
+            raise NumericAbort(name, n, "stepsize reached 0")
+        sigma_op[()] = sigma
+        y_new = np.add(np.divide(y, sigma_op, work.y_spare), Kx_new, work.y_spare)
+        g_prox(y_new, 1.0 / sigma, w)
+        np.add(y, np.multiply(sigma_op, np.subtract(Kx_new, w, y_new), y_new), y_new)
+        work.x_spare, state.x_prev, state.x = state.x_prev, x, x_new
+        work.y_spare, state.y = y, y_new
+        work.Kx_spare, state.Kx = Kx, Kx_new
+        if smooth:
+            work.grad_spare, state.grad_x = grad_x, grad_new
+        work.z_spare, state.z = state.z, z
+        state.tau, state.sigma, state.L_local, state.dx_norm = tau_new, sigma, L, ndx
+        state.theta_prev, state.theta = state.theta, theta
+        if not (math.isfinite(tau_new) and math.isfinite(ndx)
+                and math.isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
+            raise NumericAbort(name, n)
+        state.n_avg += 1
+        np.add(x_sum, x_new, x_sum)
+        np.add(w_sum, w, w_sum)
+        return math.sqrt(np.subtract(x_new, z, sn).dot(sn))
+
+    return step
 
 
-def _condat_vu_step(state, problem, config, scheme):
-    """Extrapolated primal-dual step with the lagged gradient of h.
+def _condat_vu_kernel(state, problem, config, scheme):
+    """The extrapolated primal-dual iteration with the lagged gradient of h.
 
     The dual update sees K(2 x_n - x_{n-1}); z tracks the previous iterate
     so the early-exit quantity ||x - z|| is the plain step norm. With h = 0
-    this is the classical pdhg, which shares the step.
+    this is the classical pdhg, which shares the kernel.
     """
     work = state.work
-    x_new, Kx_new = _primal_step(state, state.x, state.tau, scheme.smooth)
-    u = work.scratch_m
-    np.multiply(2.0, Kx_new, u)
-    np.subtract(u, state.Kx, u)
-    _dual_step(state, config, state.y, u, state.sigma, state.w, work.y_spare)
-    state.dx_norm = _norm(np.subtract(x_new, state.x, work.scratch_n))
-    _advance(state, x_new, Kx_new, _new_grad(state, x_new, scheme.smooth))
-    state.z = state.x_prev
-    return state
+    rmatvec, matvec, f_prox, g_prox, h_grad = (
+        work.rmatvec, work.matvec, work.f_prox, work.g_prox, work.h_grad)
+    sn, sm, w, x_sum, w_sum = work.scratch_n, work.scratch_m, state.w, state.x_sum, state.w_sum
+    smooth, name, tau, sigma = scheme.smooth, config.algorithm, state.tau, state.sigma
+    tau_op, sigma_op = np.array(tau), np.array(sigma)  # ufunc operands, as in _golden_kernel
+
+    def step(n):
+        state.n = n
+        x, y, Kx, grad_x = state.x, state.y, state.Kx, state.grad_x
+        x_new, Kx_new, grad_new = work.x_spare, work.Kx_spare, work.grad_spare
+        np.subtract(x, np.multiply(tau_op, rmatvec(y, sn), sn), sn)
+        if smooth:  # x_new is free until the prox
+            np.subtract(sn, np.multiply(tau_op, grad_x, x_new), sn)
+        f_prox(sn, tau, x_new)
+        matvec(x_new, Kx_new)
+        np.subtract(np.add(Kx_new, Kx_new, sm), Kx, sm)  # 2 K x_new exactly, less K x
+        if not sigma > 0.0:
+            raise NumericAbort(name, n, "stepsize reached 0")
+        y_new = np.add(np.divide(y, sigma_op, work.y_spare), sm, work.y_spare)
+        g_prox(y_new, 1.0 / sigma, w)
+        np.add(y, np.multiply(sigma_op, np.subtract(sm, w, y_new), y_new), y_new)
+        ndx = math.sqrt(np.subtract(x_new, x, sn).dot(sn))
+        if smooth:
+            h_grad(x_new, grad_new)
+            work.grad_spare, state.grad_x = grad_x, grad_new
+        work.x_spare, state.x_prev, state.x = state.x_prev, x, x_new
+        work.y_spare, state.y = y, y_new
+        work.Kx_spare, state.Kx = Kx, Kx_new
+        state.z, state.dx_norm = x, ndx
+        if not (math.isfinite(tau) and math.isfinite(ndx)
+                and math.isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
+            raise NumericAbort(name, n)
+        state.n_avg += 1
+        np.add(x_sum, x_new, x_sum)
+        np.add(w_sum, w, w_sum)
+        return ndx  # z is the previous x, so ||x - z|| has the operands of ndx
+
+    return step
 
 
 def _agraal_start(state, problem, config):
@@ -521,73 +514,94 @@ def _agraal_start(state, problem, config):
     np.negative(state.Kx, state.Fy_prev)
 
 
-def _agraal_step(state, problem, config, scheme):
-    """Fully adaptive golden-ratio step on the joint primal-dual field.
+def _agraal_kernel(state, problem, config, scheme):
+    """The fully adaptive golden-ratio iteration on the joint primal-dual field.
 
     The vector field is F(x, y) = (grad h(x) + K* y, -K x) over the product
     space with the sum inner product, so the stepsize ratio uses
     sqrt(||dx||^2 + ||dy||^2). Primal and dual updates share one stepsize
     and are computed from the lagged iterate (Jacobian style).
     """
-    psi = config.psi
-    rho = config.effective_rho
-    lam = state.tau
     work = state.work
-    sn, sm = work.scratch_n, work.scratch_m
-    Fx = work.Fx_spare
-    work.rmatvec(state.y, Fx)
-    np.add(state.grad_x, Fx, Fx)
-    Fy = np.negative(state.Kx, work.Fy_spare)
-    # ||x - x_prev|| is the last step's ||x_new - x||, from the same operands
-    du2 = state.dx_norm**2 + _norm(np.subtract(state.y, state.y_prev, sm)) ** 2
-    dF2 = (_norm(np.subtract(Fx, state.Fx_prev, sn)) ** 2
-           + _norm(np.subtract(Fy, state.Fy_prev, sm)) ** 2)
-    candidates = [rho * lam, config.tau_max]
-    scale = 1.0 + _norm(state.x) + _norm(state.y)
-    if math.sqrt(du2) > _STEP_NOISE_FLOOR * scale and dF2 > 0.0:
-        candidates.append(psi * state.theta / (4.0 * lam) * du2 / dF2)
-    lam_new = min(candidates)
-    x_bar = _golden_average(psi, state.x, state.z, work.z_spare)
-    np.multiply(lam_new, Fx, sn)
-    np.subtract(x_bar, sn, sn)
-    x_new = work.x_spare
-    work.f_prox(sn, lam_new, x_new)
-    y_bar = _golden_average(psi, state.y, state.y_bar, work.y_bar_spare)
-    _dual_step(state, config, y_bar, state.Kx, lam_new, state.w, work.y_spare)
-    state.dx_norm = _norm(np.subtract(x_new, state.x, sn))
-    work.matvec(x_new, work.Kx_spare)
-    _advance(state, x_new, work.Kx_spare, _new_grad(state, x_new, scheme.smooth))
-    # _advance left the previous y in y_spare
-    work.y_spare, state.y_prev = state.y_prev, work.y_spare
-    work.Fx_spare, state.Fx_prev = state.Fx_prev, Fx
-    work.Fy_spare, state.Fy_prev = state.Fy_prev, Fy
-    work.z_spare, state.z = state.z, x_bar
-    work.y_bar_spare, state.y_bar = state.y_bar, y_bar
-    state.tau = lam_new
-    state.sigma = lam_new
-    state.theta_prev = state.theta
-    state.theta = psi * lam_new / lam
-    return state
+    rmatvec, matvec, f_prox, g_prox, h_grad = (
+        work.rmatvec, work.matvec, work.f_prox, work.g_prox, work.h_grad)
+    sn, sm, w, x_sum, w_sum = work.scratch_n, work.scratch_m, state.w, state.x_sum, state.w_sum
+    smooth, name = scheme.smooth, config.algorithm
+    psi, rho, tau_max = config.psi, config.effective_rho, config.tau_max
+    psi_op, psi_1_op, lam_op = map(np.array, (psi, psi - 1.0, 0.0))  # as in _golden_kernel
+
+    def step(n):
+        state.n = n
+        x, y, Kx, grad_x, lam = state.x, state.y, state.Kx, state.grad_x, state.tau
+        Fx, Fy, x_bar, y_bar = work.Fx_spare, work.Fy_spare, work.z_spare, work.y_bar_spare
+        x_new, Kx_new, grad_new = work.x_spare, work.Kx_spare, work.grad_spare
+        np.add(grad_x, rmatvec(y, Fx), Fx)
+        np.negative(Kx, Fy)
+        # ||x - x_prev|| is the last step's ||x_new - x||, from the same operands
+        du2 = state.dx_norm**2 + math.sqrt(np.subtract(y, state.y_prev, sm).dot(sm)) ** 2
+        dF2 = (math.sqrt(np.subtract(Fx, state.Fx_prev, sn).dot(sn)) ** 2
+               + math.sqrt(np.subtract(Fy, state.Fy_prev, sm).dot(sm)) ** 2)
+        lam_new = min(rho * lam, tau_max)
+        scale = 1.0 + math.sqrt(x.dot(x)) + math.sqrt(y.dot(y))
+        if math.sqrt(du2) > _STEP_NOISE_FLOOR * scale and dF2 > 0.0:
+            lam_new = min(lam_new, psi * state.theta / (4.0 * lam) * du2 / dF2)
+        lam_op[()] = lam_new
+        np.divide(np.add(np.multiply(psi_1_op, x, x_bar), state.z, x_bar), psi_op, x_bar)
+        f_prox(np.subtract(x_bar, np.multiply(lam_op, Fx, sn), sn), lam_new, x_new)
+        np.divide(np.add(np.multiply(psi_1_op, y, y_bar), state.y_bar, y_bar), psi_op, y_bar)
+        if not lam_new > 0.0:
+            raise NumericAbort(name, n, "stepsize reached 0")
+        y_new = np.add(np.divide(y_bar, lam_op, work.y_spare), Kx, work.y_spare)
+        g_prox(y_new, 1.0 / lam_new, w)
+        np.add(y_bar, np.multiply(lam_op, np.subtract(Kx, w, y_new), y_new), y_new)
+        ndx = math.sqrt(np.subtract(x_new, x, sn).dot(sn))
+        matvec(x_new, Kx_new)
+        if smooth:
+            h_grad(x_new, grad_new)
+            work.grad_spare, state.grad_x = grad_x, grad_new
+        work.x_spare, state.x_prev, state.x = state.x_prev, x, x_new
+        work.y_spare, state.y_prev, state.y = state.y_prev, y, y_new
+        work.Kx_spare, state.Kx = Kx, Kx_new
+        work.Fx_spare, state.Fx_prev = state.Fx_prev, Fx
+        work.Fy_spare, state.Fy_prev = state.Fy_prev, Fy
+        work.z_spare, state.z = state.z, x_bar
+        work.y_bar_spare, state.y_bar = state.y_bar, y_bar
+        state.tau = state.sigma = lam_new
+        state.dx_norm = ndx
+        state.theta_prev, state.theta = state.theta, psi * lam_new / lam
+        if not (math.isfinite(lam_new) and math.isfinite(ndx)
+                and math.isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
+            raise NumericAbort(name, n)
+        state.n_avg += 1
+        np.add(x_sum, x_new, x_sum)
+        np.add(w_sum, w, w_sum)
+        return math.sqrt(np.subtract(x_new, x_bar, sn).dot(sn))
+
+    return step
 
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """One algorithm: its step, stepsize policy, parameter checks and warnings.
+    """One algorithm: its kernel builder, stepsize rule, parameter checks and warnings.
 
-    The golden-ratio schemes share ``_golden_step`` and differ only in the
-    ``policy`` that returns (tau, sigma, theta, L_local) and in ``smooth``,
+    ``step(state, problem, config, scheme)`` builds the run's kernel once,
+    after ``init_state``: a closure ``step(n)`` that binds the oracle calls,
+    the views that never move and the rule's constants, makes iteration n,
+    checks that its iterates are finite, adds them to the ergodic sums and
+    returns ||x - z||. The golden-ratio schemes share ``_golden_kernel`` and differ
+    only in ``rule`` (nonincreasing, adaptive or fixed) and in ``smooth``,
     whether grad h enters the primal step; ``run_solver`` turns ``smooth``
     off for every scheme when h is a ``ZeroSmooth``. A ``fixed_step`` scheme keeps the
     configured tau and sigma; it and a ``needs_k_norm`` scheme get ||K||
     resolved before the run. ``check`` yields parameter violations beyond
     the shared ones, ``region`` the fixed-stepsize region warnings, and
-    ``start`` sets up extra state the step keeps. ``primal_views`` and
+    ``start`` sets up extra state the kernel keeps. ``primal_views`` and
     ``dual_views`` name the views of the run's block (see ``Workspace``)
     that the scheme keeps beyond every run's.
     """
 
     step: Callable
-    policy: Callable | None = None
+    rule: str | None = None
     smooth: bool = True
     fixed_step: bool = False
     needs_k_norm: bool = False
@@ -601,19 +615,19 @@ class Scheme:
 _Z_VIEWS = ("z", "z_spare")
 
 SCHEMES = {
-    "pgrpda": Scheme(_golden_step, _nonincreasing_policy, check=_check_pgrpda,
+    "pgrpda": Scheme(_golden_kernel, "nonincreasing", check=_check_pgrpda,
                      primal_views=_Z_VIEWS, dual_views=("scratch_m",)),
-    "aegrpda": Scheme(_golden_step, _adaptive_policy, needs_k_norm=True, check=_check_growth,
+    "aegrpda": Scheme(_golden_kernel, "adaptive", needs_k_norm=True, check=_check_growth,
                       primal_views=_Z_VIEWS),
-    "egrpda": Scheme(_golden_step, _fixed_policy, fixed_step=True, check=_check_golden_psi,
+    "egrpda": Scheme(_golden_kernel, "fixed", fixed_step=True, check=_check_golden_psi,
                      region=_egrpda_region, primal_views=_Z_VIEWS),
-    "condat_vu": Scheme(_condat_vu_step, fixed_step=True, region=_condat_vu_region,
+    "condat_vu": Scheme(_condat_vu_kernel, fixed_step=True, region=_condat_vu_region,
                         dual_views=("scratch_m",)),
-    "pdhg": Scheme(_condat_vu_step, fixed_step=True, region=_pdhg_region,
+    "pdhg": Scheme(_condat_vu_kernel, fixed_step=True, region=_pdhg_region,
                    dual_views=("scratch_m",)),
-    "grpda": Scheme(_golden_step, _fixed_policy, smooth=False, fixed_step=True,
+    "grpda": Scheme(_golden_kernel, "fixed", smooth=False, fixed_step=True,
                     check=_check_golden_psi, region=_grpda_region, primal_views=_Z_VIEWS),
-    "agraal": Scheme(_agraal_step, check=_check_growth, start=_agraal_start,
+    "agraal": Scheme(_agraal_kernel, check=_check_growth, start=_agraal_start,
                      primal_views=(*_Z_VIEWS, "Fx_prev", "Fx_spare"),
                      dual_views=("y_prev", "y_bar", "y_bar_spare", "Fy_prev", "Fy_spare",
                                  "scratch_m")),
@@ -646,13 +660,14 @@ def _stepsize_messages(problem, config, k_norm):
 def _finite_iterates(state):
     """Whether x, y and tau are finite after a step.
 
-    Every step sets ``dx_norm`` from x_new - x, and a non-finite entry of
+    Every kernel sets ``dx_norm`` from x_new - x, and a non-finite entry of
     x_new makes that difference non-finite whatever x holds, so a finite
     ||dx|| proves the new x finite; a finite square sum of y proves y
     finite. Only when a square sum is not finite (a non-finite entry, or
     finite entries whose squares overflow) are the entries scanned.
     ``np.vdot`` does not check the FP flags, so an overflowing sum returns
-    inf without a RuntimeWarning (``@`` would warn).
+    inf without a RuntimeWarning (``@`` would warn). The kernels test the
+    square sums inline and call this only when that test fails.
     """
     if not math.isfinite(state.tau):
         return False
@@ -670,24 +685,19 @@ def _resolve_k_norm(problem, config):
     return None
 
 
-def run_solver(
-    problem,
-    config,
-    x0=None,
-    y0=None,
-    f_star=None,
-    f_star_provenance=None,
-    callback=None,
-    record_time=True,
-):
+def run_solver(problem, config, x0=None, y0=None, f_star=None, f_star_provenance=None,
+               callback=None, record_time=True):
     """Run one solver on one problem instance.
 
-    Returns (state, trace, summary). Trace rows are recorded every
+    Returns (state, trace, summary). Each iteration is one call of the
+    run's kernel; the loop keeps the clock, the trace rows, the callback
+    and the stop test. Trace rows are recorded every
     ``trace_stride`` iterations and always at the final one; the run stops
     at the iteration budget, or early once ||x - z|| falls to ``stop_tol``
     (when positive). Non-finite iterates abort with NumericAbort naming
-    the iteration. With ``record_time=False`` the trace timestamps are
-    zero so that reruns are byte-identical.
+    the iteration; numpy's overflow and invalid-value warnings are off
+    inside the loop, the callback included. With ``record_time=False`` the
+    trace timestamps are zero so that reruns are byte-identical.
     """
     validate_config(config)
     k_norm = _resolve_k_norm(problem, config)
@@ -704,59 +714,46 @@ def run_solver(
     state = init_state(problem, config, x0, y0)
     trace = IterationTrace()
     scheme = state.work.scheme
-    scratch_n = state.work.scratch_n
-    step = scheme.step
+    # kept out of the state: a kernel stored there would close a reference
+    # cycle that keeps each finished run's block alive until a gc pass
+    step = scheme.step(state, problem, config, scheme)
+    stop_tol = config.stop_tol
     x_true = problem.x_true
     x_true_norm = None if x_true is None else _norm(x_true)
-    track_psnr = (
-        x_true is not None
-        and "rows" in problem.dims
-        and "cols" in problem.dims
-    )
+    track_psnr = x_true is not None and "rows" in problem.dims and "cols" in problem.dims
 
     stop_reason = "budget"
     start = time.perf_counter()
-    for n in range(1, config.max_iters + 1):
-        state.n = n
-        step(state, problem, config, scheme)
-        if not _finite_iterates(state):
-            raise NumericAbort(config.algorithm, n)
-        state.n_avg += 1
-        state.x_sum += state.x
-        state.w_sum += state.w
-        if record_time:
-            state.elapsed = time.perf_counter() - start
-        xz = _norm(np.subtract(state.x, state.z, scratch_n))
-        hit_stop = config.stop_tol > 0.0 and xz <= config.stop_tol
-        if n % config.trace_stride == 0 or n == config.max_iters or hit_stop:
-            try:
-                f_val = objective(problem, state.x, Kx=state.Kx)
-            except DataError:
-                # finite iterates can still overflow the objective
-                raise NumericAbort(config.algorithm, n) from None
-            row = {
-                "n": n,
-                "t": state.elapsed,
-                "F": f_val,
-                "tau": state.tau,
-                "sigma": state.sigma,
-                "theta": None if scheme.fixed_step else state.theta,
-                "dx": state.dx_norm,
-                "xz": xz,
-                "cviol": constraint_violation(problem.K, state.x_bar, state.w_bar),
-            }
-            if f_star is not None:
-                row["F_gap"] = row["F"] - f_star
-            if x_true is not None and x_true_norm and x_true_norm > 0:
-                row["rel_err"] = _norm(state.x - x_true) / x_true_norm
-            if track_psnr:
-                row["psnr"] = psnr(state.x, x_true)
-            trace.append(**row)
-        if callback is not None:
-            callback(state)
-        if hit_stop:
-            stop_reason = "stop_tol"
-            break
+    # a diverging run overflows before its iterates turn non-finite; the
+    # NumericAbort reports that, so numpy's own warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, config.max_iters + 1):
+            xz = step(n)
+            if record_time:
+                state.elapsed = time.perf_counter() - start
+            hit_stop = stop_tol > 0.0 and xz <= stop_tol
+            if n % config.trace_stride == 0 or n == config.max_iters or hit_stop:
+                try:
+                    f_val = objective(problem, state.x, Kx=state.Kx)
+                except DataError:
+                    # finite iterates can still overflow the objective
+                    raise NumericAbort(config.algorithm, n) from None
+                row = {"n": n, "t": state.elapsed, "F": f_val, "tau": state.tau,
+                       "sigma": state.sigma, "theta": None if scheme.fixed_step else state.theta,
+                       "dx": state.dx_norm, "xz": xz,
+                       "cviol": constraint_violation(problem.K, state.x_bar, state.w_bar)}
+                if f_star is not None:
+                    row["F_gap"] = row["F"] - f_star
+                if x_true is not None and x_true_norm and x_true_norm > 0:
+                    row["rel_err"] = _norm(state.x - x_true) / x_true_norm
+                if track_psnr:
+                    row["psnr"] = psnr(state.x, x_true)
+                trace.append(**row)
+            if callback is not None:
+                callback(state)
+            if hit_stop:
+                stop_reason = "stop_tol"
+                break
 
     final = {}
     if len(trace):
@@ -764,15 +761,7 @@ def run_solver(
             val = trace.last(name)
             if val is not None:
                 final[name] = val
-    summary = RunSummary(
-        solver=config.algorithm,
-        iterations=state.n,
-        elapsed=state.elapsed,
-        stop_reason=stop_reason,
-        k_norm=k_norm,
-        warnings=messages,
-        final=final,
-        f_star=f_star,
-        f_star_provenance=f_star_provenance,
-    )
+    summary = RunSummary(solver=config.algorithm, iterations=state.n, elapsed=state.elapsed,
+                         stop_reason=stop_reason, k_norm=k_norm, warnings=messages, final=final,
+                         f_star=f_star, f_star_provenance=f_star_provenance)
     return state, trace, summary

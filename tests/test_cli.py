@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import goldsplit
 from goldsplit.cli import _build_parser, main
 from goldsplit.errors import DataError
 from goldsplit.linops import operator_norm
@@ -330,6 +335,17 @@ def test_generate_negative_seed_is_one_line_usage_error(tmp_path, capsys, flags)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("lam", "nan"), ("noise-sd", "inf")])
+def test_generate_non_finite_parameter_is_one_line_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "inst"
+    code = main(["generate", "--family", "lasso", "--m", "20", "--n", "40", "--s", "3",
+                 f"--{flag}", value, "--out", str(out)])
+    assert code == 2
+    message = f"error: {flag.replace('-', '_')} must be finite (got {value})"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+
+
 def test_run_negative_seed_is_usage_error_for_a_scheme_that_ignores_it(tmp_path, capsys):
     manifest = _generate_lasso(tmp_path)
     capsys.readouterr()
@@ -501,6 +517,39 @@ def test_reference_run_abort_exits_3_before_anything_is_written(tmp_path, capsys
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: pdhg: non-finite iterate"), errors
     assert not out.exists() and manifest.read_bytes() == before
+
+
+# diverging runs: a reference run's abort and a main run's abort
+_DIVERGING_RUNS = {
+    "reference-run": (
+        ["--family", "lasso", "--m", "50", "--n", "100", "--s", "5", "--seed", "1"],
+        ["--solvers", "pgrpda", "--fstar-solver", "pdhg", "--tau", "10", "--sigma", "10",
+         "--fstar-ref-iters", "2000"],
+        "error: pdhg: non-finite iterate at iteration"),
+    "strongly-convex": (
+        ["--family", "strongly_convex", "--m", "40", "--n", "60", "--seed", "4"],
+        ["--solvers", "egrpda", "--tau", "5/K", "--sigma", "5/K"],
+        "error: egrpda: non-finite iterate at iteration"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@pytest.mark.parametrize("case", sorted(_DIVERGING_RUNS))
+def test_diverging_run_prints_one_error_line_and_no_overflow_warning(tmp_path, capsys, case):
+    # in a fresh interpreter, so that stderr shows what a user sees
+    generate, run, error = _DIVERGING_RUNS[case]
+    assert main(["generate", *generate, "--out", str(tmp_path / "inst")]) == 0
+    src = str(Path(goldsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "goldsplit.cli", "run", "--manifest",
+         str(tmp_path / "inst" / "manifest.json"), *run, "--out", str(tmp_path / "runs")],
+        env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 3, proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(error), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # run flags rejected before the instance is read or --out is made, and the error line

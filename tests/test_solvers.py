@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import inspect
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -434,6 +435,22 @@ def _agraal_step_fresh(state, problem, config, scheme):
     return state
 
 
+def _agraal_fresh_kernel(state, problem, config, scheme):
+    """A kernel builder around ``_agraal_step_fresh``, with the run loop's bookkeeping."""
+
+    def step(n):
+        state.n = n
+        _agraal_step_fresh(state, problem, config, scheme)
+        if not solvers._finite_iterates(state):
+            raise NumericAbort(config.algorithm, n)
+        state.n_avg += 1
+        state.x_sum += state.x
+        state.w_sum += state.w
+        return np.linalg.norm(state.x - state.z)
+
+    return step
+
+
 @pytest.mark.parametrize("smooth", [False, True], ids=["h-zero", "h-least-squares"])
 def test_agraal_reused_step_norm_matches_a_fresh_one(monkeypatch, smooth):
     # the step takes ||x - x_prev|| from the last step's dx_norm
@@ -449,7 +466,7 @@ def test_agraal_reused_step_norm_matches_a_fresh_one(monkeypatch, smooth):
         callback=lambda st: fresh.append(st.dx_norm == np.linalg.norm(st.x - st.x_prev)),
     )
     assert len(fresh) == 400 and all(fresh)
-    scheme = dataclasses.replace(solvers.SCHEMES["agraal"], step=_agraal_step_fresh)
+    scheme = dataclasses.replace(solvers.SCHEMES["agraal"], step=_agraal_fresh_kernel)
     monkeypatch.setitem(solvers.SCHEMES, "agraal", scheme)
     state_f, trace_f, _ = run_solver(problem, cfg, x0=x0, record_time=False)
     for name in ("x", "y", "w", "x_bar", "w_bar"):
@@ -1405,3 +1422,30 @@ def test_the_run_loop_allocates_only_oracle_temporaries():
     for name, arrays in bounds.items():  # in arrays of length n
         assert peaks.inside[name] < arrays * array_bytes + slack, (name, peaks.inside[name])
     assert grown[0] < slack  # and nothing accumulates
+
+
+@pytest.mark.parametrize("alg", ALGORITHM_NAMES)
+def test_an_iteration_makes_at_most_twelve_python_calls(alg):
+    # the run's kernel, the oracle methods it calls and the callback; the
+    # window of 100 iterations holds no trace row
+    problem = gen_lasso(50, 100, 5, seed=1)
+    cfg = next(c for c in _scheme_configs(problem) if c.algorithm == alg)
+    cfg = dataclasses.replace(cfg, max_iters=300, trace_stride=1000)
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    def window(st):
+        if st.n == 100:
+            sys.setprofile(count)
+        elif st.n == 200:
+            sys.setprofile(None)
+
+    try:
+        run_solver(problem, cfg, y0=-problem.meta["b"], callback=window)
+    finally:
+        sys.setprofile(None)
+    assert calls.count("window") == 100
+    assert len(calls) <= 12 * 100, sorted(set(calls))
