@@ -10,9 +10,12 @@ Lipschitz bound ``lipschitz()`` whose norms ``operator_norm`` keeps.
 ``prox``, ``grad`` and the public prox functions take an optional ``out``,
 a float64 array of the result's shape: as with numpy ufuncs, the result is
 written there and ``out`` is returned. ``out`` may be the input itself but
-must not otherwise overlap it. Without ``out`` every result is a new array
-computed as before, for any input numpy broadcasts. A subclass that
-overrides ``prox`` or ``grad`` keeps the positional ``out``: a run passes it.
+must not otherwise overlap it. ``prox_group_l21`` also uses a separate
+``out`` as its scratch space, so that call allocates no array. Without
+``out`` every result is a new array computed as before, for any input
+numpy broadcasts (an integer group-l21 field gives a floating result).
+A subclass that overrides ``prox`` or ``grad`` keeps the positional
+``out``: a run passes it.
 
 scipy is imported only inside ``Logistic.grad``, for
 ``scipy.special.expit``, so the other oracles never load it.
@@ -69,21 +72,24 @@ _SQRT_NORM_MAX = 1e150
 _SQRT_NORM_MIN = 1e-150
 
 
-def _pixel_norms(u, fast=True):
-    """Euclidean norms of the columns of the (2, n) field ``u``.
+def _pixel_norms(u, fast=True, norms=None, square=None):
+    """Euclidean norms of the columns of the (2, n) field ``u``, in ``norms``.
 
-    With ``fast`` the squares are accumulated in place and the result is
-    taken from them unless the largest norm reaches _SQRT_NORM_MAX or is
-    not finite.
+    The norms are taken in the field's floating type and written to
+    ``norms``, a new array when None. With ``fast`` the squares are
+    accumulated there, one of them passing through ``square`` (a new array
+    when None), and the result is taken from them unless the largest norm
+    reaches _SQRT_NORM_MAX or is not finite.
     """
+    dtype = np.promote_types(u.dtype, np.float16)
     if fast:
         with np.errstate(over="ignore"):
-            norms = u[0] * u[0]
-            norms += u[1] * u[1]
+            norms = np.multiply(u[0], u[0], norms, dtype=dtype)
+            np.add(norms, np.multiply(u[1], u[1], square, dtype=dtype), norms, dtype=dtype)
         # a float, not a float32, so the bound is not cast to float32 inf
         if float(np.max(norms, initial=0.0)) < _SQRT_NORM_MAX**2:
-            return np.sqrt(norms, out=norms)
-    return np.hypot(u[0], u[1])
+            return np.sqrt(norms, norms, dtype=dtype)
+    return np.hypot(u[0], u[1], norms, dtype=dtype)
 
 
 def prox_group_l21(v, t, lam, n_pixels, out=None):
@@ -91,7 +97,11 @@ def prox_group_l21(v, t, lam, n_pixels, out=None):
 
     The field stacks n_pixels horizontal components before n_pixels
     vertical ones; pixel p pairs (v[p], v[n_pixels + p]). Zero-norm pixels
-    map to zero.
+    map to zero. A separate ``out`` doubles as the scratch space, so the
+    call allocates no array: ``out[:n_pixels]`` holds the pixel norms and
+    then the scale, and ``out[n_pixels:]`` a square. Without ``out``, or
+    with an ``out`` that may share memory with the input, the same steps
+    run in a new array of the result's type.
     """
     _check_step(t, lam)
     if v.shape != (2 * n_pixels,):
@@ -100,27 +110,32 @@ def prox_group_l21(v, t, lam, n_pixels, out=None):
         )
     u = v.reshape(2, n_pixels)
     threshold = t * lam
+    shrink = 0.0 < threshold < np.inf
+    work = out
+    if out is None or np.may_share_memory(out, v):
+        dtype = np.promote_types(v.dtype, np.float16)
+        work = np.empty(2 * n_pixels, np.result_type(dtype, threshold) if shrink else dtype)
+    scale = work[:n_pixels]
     # a pixel whose squares underflow has a norm far below a threshold
-    # above _SQRT_NORM_MIN, so it is zeroed whichever way its norm is taken;
-    # besides v and the result, at most two arrays of n_pixels entries
-    # (the norms and a square, then the norms and the scale) are alive
-    norms = _pixel_norms(u, fast=threshold > _SQRT_NORM_MIN)
-    if not 0.0 < threshold < np.inf:
-        # scale 1 where the norm exceeds the threshold, else 0; a NaN
-        # pixel's finite partner entry is zeroed
-        scale = norms > threshold
-    else:
+    # above _SQRT_NORM_MIN, so it is zeroed whichever way its norm is taken
+    _pixel_norms(u, threshold > _SQRT_NORM_MIN, scale, work[n_pixels:])
+    if shrink:
         # raising each norm to at least the threshold keeps the ratio in
         # (0, 1], avoids overflow on subnormal pixel norms, and gives a NaN
         # pixel the scale 0 (fmax ignores NaN)
-        scale = np.fmax(norms, threshold)
-        np.divide(threshold, scale, out=scale)
-        np.subtract(1.0, scale, out=scale)
+        np.fmax(scale, threshold, scale)
+        np.divide(threshold, scale, scale)
+        np.subtract(1.0, scale, scale)
+    else:
+        # scale 1 where the norm exceeds the threshold, else 0; a NaN
+        # pixel's finite partner entry is zeroed
+        np.greater(scale, threshold, scale)
     if out is None:
-        return (u * scale).ravel()
-    # channel by channel: a broadcast (2, n) product would take iteration buffers
-    np.multiply(u[0], scale, out[:n_pixels])
+        out = work
+    # channel by channel, the second first: the scale is the first half of
+    # work, and a broadcast (2, n) product would take iteration buffers
     np.multiply(u[1], scale, out[n_pixels:])
+    np.multiply(u[0], scale, out[:n_pixels])
     return out
 
 

@@ -28,9 +28,10 @@ ergodic averages is uniformly reportable.
 
 A run allocates its arrays once: ``init_state`` carves the state and every
 buffer the kernels write into from one float64 block (see ``Workspace``),
-and the kernels write through ``out`` from then on. An oracle that is no
-``LinearOperator``, ``ProxOracle`` or ``SmoothOracle`` is called without
-``out`` and its result copied.
+each view starting on a 64-byte cache line, and the kernels write through
+``out`` from then on. An oracle that is no ``LinearOperator``,
+``ProxOracle`` or ``SmoothOracle`` is called without ``out`` and its
+result copied.
 """
 
 from __future__ import annotations
@@ -229,7 +230,10 @@ class Workspace:
     (``x_spare``, ``y_spare``, ``Kx_spare``, ``grad_spare`` when the step
     adds grad h, and the scheme's own), and the scratch vector
     ``scratch_n`` of the primal length, with ``scratch_m`` of the dual
-    length for the schemes that need one.
+    length for the schemes that need one. The block holds one row per view,
+    each padded to a whole number of 64-byte cache lines, and starts on a
+    line, so every view starts on one; the views' base, the array numpy
+    allocated, is 7 entries longer still.
     A step writes each new quantity into its spare view and, once nothing
     can raise, swaps it in; the view it replaces becomes the spare (x and
     aGRAAL's y keep their previous value too, so they rotate through three
@@ -299,6 +303,12 @@ def _run_scheme(problem, config):
     return scheme
 
 
+# float64 entries per 64-byte cache line: every view of a run's block starts
+# on a line, since a ufunc pass over a long view that starts off one can take
+# twice as long
+_LINE = 8
+
+
 @functools.lru_cache(maxsize=None)
 def _layout(scheme):
     """The names of a run's views of length n and of length m, in block order."""
@@ -309,7 +319,8 @@ def _layout(scheme):
 def init_state(problem, config, x0=None, y0=None):
     """Fresh state at (x0, y0) with z0 = x0 and empty ergodic sums.
 
-    Allocates the run's one block; see ``Workspace``.
+    Allocates the run's one block, with every view on a cache line; see
+    ``Workspace``.
     """
     n = problem.K.shape.domain_dim
     m = problem.K.shape.codomain_dim
@@ -323,10 +334,14 @@ def init_state(problem, config, x0=None, y0=None):
         raise ParameterError(f"x0/y0 must have lengths {n}/{m}, got {x_shape}/{y_shape}")
     scheme = _run_scheme(problem, config)
     primal, dual = _layout(scheme)
-    size = n * len(primal)
-    block = np.empty(size + m * len(dual))
-    views = dict(zip(primal, block[:size].reshape(len(primal), n)))
-    views.update(zip(dual, block[size:].reshape(len(dual), m)))
+    # each row rounded up to whole lines
+    row_n, row_m = -(-n // _LINE) * _LINE, -(-m // _LINE) * _LINE
+    size = row_n * len(primal)
+    total = size + row_m * len(dual)
+    block = np.empty(total + _LINE - 1)
+    first = -(block.ctypes.data // block.itemsize) % _LINE  # the first entry on a line
+    views = dict(zip(primal, block[first:first + size].reshape(len(primal), row_n)[:, :n]))
+    views.update(zip(dual, block[first + size:first + total].reshape(len(dual), row_m)[:, :m]))
     x = views["x"]
     if x0 is None:
         x.fill(0.0)

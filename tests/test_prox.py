@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -161,6 +162,49 @@ def test_prox_group_l21_bytes_match_masked_reference():
                     out = prox_group_l21(v, t, lam, n)
                     ref = _group_l21_masked(v, t, lam, n)
                 assert out.tobytes() == ref.tobytes(), (v, t, lam)
+
+
+def _group_l21_fields(rng, n_pixels):
+    """(name, field) pairs covering each branch of the pixel norms and the scale."""
+    v = rng.standard_normal(2 * n_pixels)
+    zero = v.copy()
+    zero[::3] = 0.0
+    zero[n_pixels:][::3] = 0.0  # pixels with both entries zero
+    huge = v * 1e152  # norms beyond _SQRT_NORM_MAX: the hypot fallback
+    nan = v.copy()
+    nan[::7] = np.nan
+    return [("random", v), ("zero-norm", zero), ("huge", huge), ("nan", nan)]
+
+
+def test_prox_group_l21_with_out_allocates_nothing_and_matches_a_fresh_call():
+    # out holds the pixel norms, the scale and a square; a call with a
+    # separate float64 out allocates no array, and an out on the input's
+    # memory runs the same steps in a scratch array: each returns the bytes
+    # of the call without out
+    n = 4096
+    rng = np.random.default_rng(23)
+    thresholds = ((1.0, 0.3), (5e-324, 1.0), (0.0, 0.3), (np.inf, 0.3), (1.0, np.inf))
+    for name, v in _group_l21_fields(rng, n):
+        for t, lam in thresholds:
+            with np.errstate(invalid="ignore"):
+                expect = prox_group_l21(v, t, lam, n)
+                out = np.full(2 * n, np.nan)
+                tracemalloc.start()
+                try:
+                    level = tracemalloc.get_traced_memory()[0]
+                    result = prox_group_l21(v, t, lam, n, out)
+                    peak = tracemalloc.get_traced_memory()[1] - level
+                finally:
+                    tracemalloc.stop()
+                same = v.copy()
+                assert prox_group_l21(same, t, lam, n, same) is same
+                alias = v.copy()  # another view of the input's memory
+                prox_group_l21(alias, t, lam, n, alias[:])
+            assert result is out
+            assert peak < 8 * n, (name, t, lam, peak)
+            assert out.tobytes() == expect.tobytes(), (name, t, lam)
+            assert same.tobytes() == expect.tobytes(), (name, t, lam)
+            assert alias.tobytes() == expect.tobytes(), (name, t, lam)
 
 
 def test_prox_group_l21_shape_mismatch():

@@ -947,8 +947,9 @@ def test_huge_k_norm_fires_region_warning(alg):
 # finiteness checks
 
 
-def _scheme_configs(problem):
-    k = float(np.linalg.svd(problem.K.matrix, compute_uv=False)[0])
+def _scheme_configs(problem, k=None):
+    if k is None:
+        k = float(np.linalg.svd(problem.K.matrix, compute_uv=False)[0])
     step = 0.9 / k
     return [
         SolverConfig("pgrpda", tau0=5.0, beta=0.2),
@@ -1292,14 +1293,21 @@ def test_a_step_that_aborts_leaves_the_last_finished_iteration(alg):
             assert getattr(state, name).tobytes() == kept[name], name
 
 
+def _padded(length):
+    """``length`` rounded up to whole 64-byte lines of float64 entries."""
+    return -(-length // 8) * 8
+
+
 def test_one_block_holds_the_whole_working_set():
     # aegrpda with a smooth h: x in three views, z, y, Kx and grad h in two,
-    # w, the two ergodic sums and one scratch vector of length n
+    # w, the two ergodic sums and one scratch vector of length n; each row
+    # is padded to whole cache lines, and numpy's array has 7 entries more,
+    # so that the rows can start on a line wherever it lands
     problem = gen_inpainting(synthetic_blocks_image(12, 10), 0.3, 1e-2, seed=1)
     n, m = problem.K.shape
     state = solvers.init_state(problem, SolverConfig("aegrpda", K_norm=1.0))
     block = state.x.base
-    assert block.size == 9 * n + 6 * m == 21 * n
+    assert block.size == 9 * _padded(n) + 6 * _padded(m) + 7 == 21 * n + 7
     work = state.work
     assert work.scratch_m is None  # the aegrpda step needs none
     arrays = [state.x, state.x_prev, state.z, state.y, state.Kx, state.grad_x, state.w,
@@ -1315,13 +1323,14 @@ def test_one_block_holds_the_whole_working_set():
 
 def test_views_per_scheme_are_the_ones_its_step_uses():
     problem = gen_lasso(20, 40, 3, scheme="gaussian", seed=2)  # h = 0
-    n, m = problem.K.shape
+    n, m = _padded(problem.K.shape[0]), _padded(problem.K.shape[1])
     sizes = {}
     for cfg in _scheme_configs(problem):
         state = solvers.init_state(problem, cfg)
         sizes[cfg.algorithm] = state.x.base.size
-    # x, z, grad h (0), the sum and a scratch vector; y, Kx, w and the sum
-    golden = 3 * n + 2 * n + n + 2 * n + 6 * m
+    # x, z, grad h (0), the sum and a scratch vector; y, Kx, w and the sum;
+    # the 7 entries that let the rows start on a cache line
+    golden = 3 * n + 2 * n + n + 2 * n + 6 * m + 7
     assert sizes == {
         "aegrpda": golden, "egrpda": golden, "grpda": golden,
         # the pgrpda policy takes ||K x_new - K x|| in a second scratch vector
@@ -1331,6 +1340,30 @@ def test_views_per_scheme_are_the_ones_its_step_uses():
         # and y_prev, y_bar, its spare, the lagged vector field and the scratch
         "agraal": golden + 2 * n + 6 * m,
     }
+
+
+def _run_views(state):
+    """Every array of a run made by ``init_state``: the state's and the workspace's."""
+    return [a for a in (*vars(state).values(), *vars(state.work).values())
+            if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_lasso(13, 7, 2, seed=3),  # h = 0: no grad h views
+    lambda: gen_inpainting(synthetic_blocks_image(11, 13), 0.3, 1e-2, seed=1),  # smooth h
+], ids=["lasso-13x7", "inpainting-11x13"])
+def test_every_view_starts_on_a_cache_line(make):
+    # neither n nor m is a multiple of 8, so unpadded rows would start off a line
+    problem = make()
+    n, m = problem.K.shape
+    assert n % 8 and m % 8
+    for cfg in _scheme_configs(problem, k=linops.operator_norm(problem.K)):
+        state = solvers.init_state(problem, cfg)
+        views = _run_views(state)
+        assert len(views) >= 13, cfg.algorithm
+        for view in views:
+            assert view.base is state.x.base and view.flags.c_contiguous
+            assert view.ctypes.data % 64 == 0, (cfg.algorithm, view.size)
 
 
 class _Peaks:

@@ -71,6 +71,8 @@ INSTANCES = {
     "strongly_convex": ["--family", "strongly_convex", "--m", "40", "--n", "60", "--seed", "4"],
     "inpainting_24x20": ["--family", "inpainting", "--rows", "24", "--cols", "20", "--seed", "5"],
     "inpainting_16x8": ["--family", "inpainting", "--rows", "16", "--cols", "8", "--seed", "6"],
+    # an odd grid: no view of the run's block fills whole cache lines
+    "inpainting_13x11": ["--family", "inpainting", "--rows", "13", "--cols", "11", "--seed", "8"],
 }
 
 _STEPS = ["--tau", "0.5/K", "--sigma", "0.5/K"]
@@ -90,6 +92,7 @@ SETTINGS = {
     "strongly-convex-diverging": ("strongly_convex", ["--tau", "5/K", "--sigma", "5/K"]),
     "inpainting-24x20-damaged": ("inpainting_24x20", ["--x0", "damaged", *_STEPS]),
     "inpainting-16x8": ("inpainting_16x8", [*_STEPS]),
+    "inpainting-13x11": ("inpainting_13x11", [*_STEPS]),
     "logistic-1": ("libsvm", ["--setting", "1", *_STEPS]),
     "logistic-2": ("libsvm", ["--setting", "2", *_STEPS]),
     "lasso-config": ("lasso", ["--config", "{tmp}/config.json"]),
