@@ -89,7 +89,6 @@ from .solvers import (
     aegrpda_tau_update,
     config_violations,
     eta_bound,
-    init_state,
     local_lipschitz,
     pgrpda_mu_bound,
     pgrpda_tau_update,

@@ -26,12 +26,11 @@ Every scheme materializes the auxiliary variable w (the g-block of the
 splitting constraint Kx = w) so the constraint residual of the running
 ergodic averages is uniformly reportable.
 
-A run allocates its arrays once: ``init_state`` carves the state and every
-buffer the kernels write into from one float64 block (see ``Workspace``),
-each view starting on a 64-byte cache line, and the kernels write through
-``out`` from then on. An oracle that is no ``LinearOperator``,
-``ProxOracle`` or ``SmoothOracle`` is called without ``out`` and its
-result copied.
+A run allocates its arrays once: ``_start`` carves the state and every
+buffer the kernel writes into from one float64 block, each view starting
+on a 64-byte cache line, and the kernel writes through ``out`` from then
+on. An oracle that is no ``LinearOperator``, ``ProxOracle`` or
+``SmoothOracle`` is called without ``out`` and its result copied.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ def config_violations(config):
     if not _finite_positive(config.beta):
         v.append(f"beta must be finite and positive (got {config.beta})")
 
-    if scheme.fixed_step:
+    if scheme.rule == "fixed":
         if config.tau is None or not _finite_positive(config.tau):
             v.append(f"{alg} needs a finite fixed tau > 0 (got {config.tau})")
         if config.sigma is None or not _finite_positive(config.sigma):
@@ -181,10 +180,9 @@ class SolverState:
     the ergodic averages ``x_bar`` and ``w_bar`` divide them when read.
     The aGRAAL fields (y_prev, y_bar, Fx_prev, Fy_prev) stay None elsewhere.
 
-    In a state made by ``init_state`` every array is a view into the run's
-    block, and ``work`` holds the rest of the block and the oracle calls.
-    The steps overwrite these arrays in later iterations, so a callback
-    that keeps one must copy it.
+    Every array of a run's state is a view into the run's block (see
+    ``_start``). The steps overwrite these arrays in later iterations, so a
+    callback that keeps one must copy it.
     """
 
     x: np.ndarray
@@ -209,7 +207,6 @@ class SolverState:
     y_bar: np.ndarray = None
     Fx_prev: np.ndarray = None
     Fy_prev: np.ndarray = None
-    work: Workspace | None = None
 
     @property
     def x_bar(self):
@@ -220,54 +217,6 @@ class SolverState:
     def w_bar(self):
         """Ergodic average of w; zeros before the first iteration."""
         return self.w_sum / max(self.n_avg, 1)
-
-
-class Workspace:
-    """A run's spare and scratch views, and the oracle calls that write into views.
-
-    ``init_state`` carves every array of a run from one float64 block: the
-    state's arrays, a spare view for each quantity a step replaces
-    (``x_spare``, ``y_spare``, ``Kx_spare``, ``grad_spare`` when the step
-    adds grad h, and the scheme's own), and the scratch vector
-    ``scratch_n`` of the primal length, with ``scratch_m`` of the dual
-    length for the schemes that need one. The block holds one row per view,
-    each padded to a whole number of 64-byte cache lines, and starts on a
-    line, so every view starts on one; the views' base, the array numpy
-    allocated, is 7 entries longer still.
-    A step writes each new quantity into its spare view and, once nothing
-    can raise, swaps it in; the view it replaces becomes the spare (x and
-    aGRAAL's y keep their previous value too, so they rotate through three
-    views). Only w is written in place, after the last check that can
-    abort the step, so a step that raises part-way leaves the state at its
-    last finished iteration.
-
-    ``matvec``, ``rmatvec``, ``f_prox``, ``g_prox`` and ``h_grad`` take
-    ``out`` last, fill it and return it. For an oracle of the package's
-    classes (a ``LinearOperator`` K, ``ProxOracle`` f and g, a
-    ``SmoothOracle`` h) they are its own methods, so a subclass that
-    overrides one keeps its positional ``out``; any other oracle is called
-    without ``out`` and its result copied. ``scheme`` is the run's scheme
-    record.
-    """
-
-    def __init__(self, problem, scheme, views):
-        self.scheme = scheme
-        self.scratch_n = views["scratch_n"]
-        self.x_spare = views["x_spare"]
-        self.y_spare = views["y_spare"]
-        self.Kx_spare = views["Kx_spare"]
-        # the views that only some schemes keep
-        self.scratch_m = views.get("scratch_m")
-        self.grad_spare = views.get("grad_spare")
-        self.z_spare = views.get("z_spare")
-        self.y_bar_spare = views.get("y_bar_spare")
-        self.Fx_spare = views.get("Fx_spare")
-        self.Fy_spare = views.get("Fy_spare")
-        self.matvec = _oracle_call(problem.K, LinearOperator, "matvec")
-        self.rmatvec = _oracle_call(problem.K, LinearOperator, "rmatvec")
-        self.f_prox = _oracle_call(problem.f, ProxOracle, "prox")
-        self.g_prox = _oracle_call(problem.g, ProxOracle, "prox")
-        self.h_grad = _oracle_call(problem.h, SmoothOracle, "grad")
 
 
 def _oracle_call(oracle, base, name):
@@ -287,6 +236,8 @@ def _oracle_call(oracle, base, name):
 # and of the dual length m.
 _PRIMAL_VIEWS = ("x", "x_prev", "x_spare", "grad_x", "x_sum", "scratch_n")
 _DUAL_VIEWS = ("y", "y_spare", "Kx", "Kx_spare", "w", "w_sum")
+# a view named after a field of the state goes on it; the kernel keeps the rest
+_STATE_FIELDS = frozenset(f.name for f in dataclasses.fields(SolverState))
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,16 +262,33 @@ _LINE = 8
 
 @functools.lru_cache(maxsize=None)
 def _layout(scheme):
-    """The names of a run's views of length n and of length m, in block order."""
+    """The names of the views of length n and of length m, in block order, and of the state's."""
     primal = _PRIMAL_VIEWS + ("grad_spare",) * scheme.smooth + scheme.primal_views
-    return primal, _DUAL_VIEWS + scheme.dual_views
+    dual = _DUAL_VIEWS + scheme.dual_views
+    return primal, dual, tuple(name for name in primal + dual if name in _STATE_FIELDS)
 
 
-def init_state(problem, config, x0=None, y0=None):
-    """Fresh state at (x0, y0) with z0 = x0 and empty ergodic sums.
+def _start(problem, config, x0=None, y0=None):
+    """The run's state at (x0, y0), with z0 = x0 and empty ergodic sums, and its kernel.
 
-    Allocates the run's one block, with every view on a cache line; see
-    ``Workspace``.
+    Carves every array of the run from one float64 block: the state's
+    arrays, a spare view for each quantity a step replaces (``x_spare``,
+    ``y_spare``, ``Kx_spare``, ``grad_spare`` when the step adds grad h, and
+    the scheme's own), and the scratch vector ``scratch_n`` of the primal
+    length, with ``scratch_m`` of the dual length for the schemes that need
+    one. The block holds one row per view, each padded to a whole number of
+    64-byte cache lines, and starts on a line, so every view starts on one;
+    the views' base, the array numpy allocated, is 7 entries longer still.
+
+    The scheme's builder gets, as keyword arguments, the views that are not
+    the state's and the oracle calls ``matvec``, ``rmatvec``, ``f_prox``,
+    ``g_prox`` and ``h_grad``, which take ``out`` last, fill it and return
+    it (see ``_oracle_call``); its kernel keeps them. A step writes each new quantity into its spare view and,
+    once nothing can raise, swaps it in; the view it replaces becomes the
+    spare (x and aGRAAL's y keep their previous value too, so they rotate
+    through three views). Only w is written in place, after the last check
+    that can abort the step, so a step that raises part-way leaves the
+    state at its last finished iteration.
     """
     n = problem.K.shape.domain_dim
     m = problem.K.shape.codomain_dim
@@ -333,7 +301,7 @@ def init_state(problem, config, x0=None, y0=None):
     if x_shape != (n,) or y_shape != (m,):
         raise ParameterError(f"x0/y0 must have lengths {n}/{m}, got {x_shape}/{y_shape}")
     scheme = _run_scheme(problem, config)
-    primal, dual = _layout(scheme)
+    primal, dual, on_state = _layout(scheme)
     # each row rounded up to whole lines
     row_n, row_m = -(-n // _LINE) * _LINE, -(-m // _LINE) * _LINE
     size = row_n * len(primal)
@@ -342,52 +310,43 @@ def init_state(problem, config, x0=None, y0=None):
     first = -(block.ctypes.data // block.itemsize) % _LINE  # the first entry on a line
     views = dict(zip(primal, block[first:first + size].reshape(len(primal), row_n)[:, :n]))
     views.update(zip(dual, block[first + size:first + total].reshape(len(dual), row_m)[:, :m]))
-    x = views["x"]
+    kept = {name: views.pop(name) for name in on_state}
+    x = kept["x"]
     if x0 is None:
         x.fill(0.0)
     else:
         x[:] = x0
     if y0 is None:
-        views["y"].fill(0.0)
+        kept["y"].fill(0.0)
     else:
-        views["y"][:] = y0
-    views["x_prev"][:] = x
-    if "z" in views:
-        views["z"][:] = x
+        kept["y"][:] = y0
+    kept["x_prev"][:] = x
+    if "z" in kept:
+        kept["z"][:] = x
+    else:
+        kept["z"] = kept["x_prev"]  # the non-golden schemes' z is x_prev
     for name in ("w", "x_sum", "w_sum"):
-        views[name].fill(0.0)
-    if scheme.fixed_step:
+        kept[name].fill(0.0)
+    if scheme.rule == "fixed":
         tau, sigma = config.tau, config.sigma
     else:
         tau, sigma = config.tau0, config.beta * config.tau0
-    state = SolverState(
-        x=x,
-        z=views.get("z", views["x_prev"]),  # the non-golden schemes' z is x_prev
-        y=views["y"],
-        w=views["w"],
-        x_prev=views["x_prev"],
-        grad_x=views["grad_x"],
-        Kx=views["Kx"],
-        tau=tau,
-        sigma=sigma,
-        theta=config.theta0,
-        theta_prev=config.theta0,
-        x_sum=views["x_sum"],
-        w_sum=views["w_sum"],
-        y_prev=views.get("y_prev"),
-        y_bar=views.get("y_bar"),
-        Fx_prev=views.get("Fx_prev"),
-        Fy_prev=views.get("Fy_prev"),
-        work=Workspace(problem, scheme, views),
-    )
-    state.work.h_grad(x, state.grad_x)
-    state.work.matvec(x, state.Kx)
-    if scheme.start is not None:
-        scheme.start(state, problem, config)
-    return state
+    state = SolverState(tau=tau, sigma=sigma, theta=config.theta0, theta_prev=config.theta0,
+                        **kept)
+    matvec = _oracle_call(problem.K, LinearOperator, "matvec")
+    h_grad = _oracle_call(problem.h, SmoothOracle, "grad")
+    h_grad(x, state.grad_x)
+    matvec(x, state.Kx)
+    return state, scheme.step(
+        state, problem, config, scheme, matvec=matvec, h_grad=h_grad,
+        rmatvec=_oracle_call(problem.K, LinearOperator, "rmatvec"),
+        f_prox=_oracle_call(problem.f, ProxOracle, "prox"),
+        g_prox=_oracle_call(problem.g, ProxOracle, "prox"), **views)
 
 
-def _golden_kernel(state, problem, config, scheme):
+def _golden_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g_prox, h_grad,
+                   x_spare, y_spare, Kx_spare, z_spare, scratch_n, scratch_m=None,
+                   grad_spare=None):
     """The golden-ratio iteration; the scheme's ``rule`` picks the stepsize branch.
 
     z averages the iterate with the previous z; the primal prox runs from z
@@ -398,10 +357,7 @@ def _golden_kernel(state, problem, config, scheme):
     local Lipschitz estimate and ||K||, and ``fixed`` (egrpda, grpda) keeps
     the configured stepsizes.
     """
-    work = state.work
-    rmatvec, matvec, f_prox, g_prox, h_grad = (
-        work.rmatvec, work.matvec, work.f_prox, work.g_prox, work.h_grad)
-    sn, sm, w, x_sum, w_sum = work.scratch_n, work.scratch_m, state.w, state.x_sum, state.w_sum
+    sn, sm, w, x_sum, w_sum = scratch_n, scratch_m, state.w, state.x_sum, state.w_sum
     smooth, name = scheme.smooth, config.algorithm
     nonincreasing, adaptive = scheme.rule == "nonincreasing", scheme.rule == "adaptive"
     psi, beta, mu, mu_prime = config.psi, config.beta, config.mu, config.mu_prime
@@ -412,9 +368,10 @@ def _golden_kernel(state, problem, config, scheme):
     psi_op, psi_1_op, tau_op, sigma_op = map(np.array, (psi, psi - 1.0, 0.0, 0.0))
 
     def step(n):
+        nonlocal x_spare, y_spare, Kx_spare, z_spare, grad_spare
         state.n = n
         x, y, Kx, grad_x, tau = state.x, state.y, state.Kx, state.grad_x, state.tau
-        z, x_new, Kx_new, grad_new = work.z_spare, work.x_spare, work.Kx_spare, work.grad_spare
+        z, x_new, Kx_new, grad_new = z_spare, x_spare, Kx_spare, grad_spare
         tau_op[()] = tau
         np.divide(np.add(np.multiply(psi_1_op, x, z), state.z, z), psi_op, z)
         np.subtract(z, np.multiply(tau_op, rmatvec(y, sn), sn), sn)
@@ -434,9 +391,6 @@ def _golden_kernel(state, problem, config, scheme):
                 tau_new = _pgrpda_tau(tau, ndx, ndK, ndg, mu, mu_prime, beta)
             sigma, theta = beta * tau_new, tau_new / tau
         elif adaptive:
-            if K_norm is None:
-                raise ParameterError("aegrpda needs K_norm; pass it in the config or use "
-                                     "run_solver")
             L = None
             if not ndx <= _STEP_NOISE_FLOOR * (1.0 + math.sqrt(x_new.dot(x_new))):
                 ndg = math.sqrt(np.subtract(grad_new, grad_x, sn).dot(sn)) if smooth else 0.0
@@ -449,15 +403,15 @@ def _golden_kernel(state, problem, config, scheme):
         if not sigma > 0.0:
             raise NumericAbort(name, n, "stepsize reached 0")
         sigma_op[()] = sigma
-        y_new = np.add(np.divide(y, sigma_op, work.y_spare), Kx_new, work.y_spare)
+        y_new = np.add(np.divide(y, sigma_op, y_spare), Kx_new, y_spare)
         g_prox(y_new, 1.0 / sigma, w)
         np.add(y, np.multiply(sigma_op, np.subtract(Kx_new, w, y_new), y_new), y_new)
-        work.x_spare, state.x_prev, state.x = state.x_prev, x, x_new
-        work.y_spare, state.y = y, y_new
-        work.Kx_spare, state.Kx = Kx, Kx_new
+        x_spare, state.x_prev, state.x = state.x_prev, x, x_new
+        y_spare, state.y = y, y_new
+        Kx_spare, state.Kx = Kx, Kx_new
         if smooth:
-            work.grad_spare, state.grad_x = grad_x, grad_new
-        work.z_spare, state.z = state.z, z
+            grad_spare, state.grad_x = grad_x, grad_new
+        z_spare, state.z = state.z, z
         state.tau, state.sigma, state.L_local, state.dx_norm = tau_new, sigma, L, ndx
         state.theta_prev, state.theta = state.theta, theta
         if not (math.isfinite(tau_new) and math.isfinite(ndx)
@@ -471,24 +425,24 @@ def _golden_kernel(state, problem, config, scheme):
     return step
 
 
-def _condat_vu_kernel(state, problem, config, scheme):
+def _condat_vu_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g_prox,
+                      h_grad, x_spare, y_spare, Kx_spare, scratch_n, scratch_m,
+                      grad_spare=None):
     """The extrapolated primal-dual iteration with the lagged gradient of h.
 
     The dual update sees K(2 x_n - x_{n-1}); z tracks the previous iterate
     so the early-exit quantity ||x - z|| is the plain step norm. With h = 0
     this is the classical pdhg, which shares the kernel.
     """
-    work = state.work
-    rmatvec, matvec, f_prox, g_prox, h_grad = (
-        work.rmatvec, work.matvec, work.f_prox, work.g_prox, work.h_grad)
-    sn, sm, w, x_sum, w_sum = work.scratch_n, work.scratch_m, state.w, state.x_sum, state.w_sum
+    sn, sm, w, x_sum, w_sum = scratch_n, scratch_m, state.w, state.x_sum, state.w_sum
     smooth, name, tau, sigma = scheme.smooth, config.algorithm, state.tau, state.sigma
     tau_op, sigma_op = np.array(tau), np.array(sigma)  # ufunc operands, as in _golden_kernel
 
     def step(n):
+        nonlocal x_spare, y_spare, Kx_spare, grad_spare
         state.n = n
         x, y, Kx, grad_x = state.x, state.y, state.Kx, state.grad_x
-        x_new, Kx_new, grad_new = work.x_spare, work.Kx_spare, work.grad_spare
+        x_new, Kx_new, grad_new = x_spare, Kx_spare, grad_spare
         np.subtract(x, np.multiply(tau_op, rmatvec(y, sn), sn), sn)
         if smooth:  # x_new is free until the prox
             np.subtract(sn, np.multiply(tau_op, grad_x, x_new), sn)
@@ -497,16 +451,16 @@ def _condat_vu_kernel(state, problem, config, scheme):
         np.subtract(np.add(Kx_new, Kx_new, sm), Kx, sm)  # 2 K x_new exactly, less K x
         if not sigma > 0.0:
             raise NumericAbort(name, n, "stepsize reached 0")
-        y_new = np.add(np.divide(y, sigma_op, work.y_spare), sm, work.y_spare)
+        y_new = np.add(np.divide(y, sigma_op, y_spare), sm, y_spare)
         g_prox(y_new, 1.0 / sigma, w)
         np.add(y, np.multiply(sigma_op, np.subtract(sm, w, y_new), y_new), y_new)
         ndx = math.sqrt(np.subtract(x_new, x, sn).dot(sn))
         if smooth:
             h_grad(x_new, grad_new)
-            work.grad_spare, state.grad_x = grad_x, grad_new
-        work.x_spare, state.x_prev, state.x = state.x_prev, x, x_new
-        work.y_spare, state.y = y, y_new
-        work.Kx_spare, state.Kx = Kx, Kx_new
+            grad_spare, state.grad_x = grad_x, grad_new
+        x_spare, state.x_prev, state.x = state.x_prev, x, x_new
+        y_spare, state.y = y, y_new
+        Kx_spare, state.Kx = Kx, Kx_new
         state.z, state.dx_norm = x, ndx
         if not (math.isfinite(tau) and math.isfinite(ndx)
                 and math.isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
@@ -519,37 +473,35 @@ def _condat_vu_kernel(state, problem, config, scheme):
     return step
 
 
-def _agraal_start(state, problem, config):
-    """aGRAAL's one stepsize and the lagged dual iterate and vector field."""
-    state.sigma = state.tau
-    np.copyto(state.y_prev, state.y)
-    np.copyto(state.y_bar, state.y)
-    state.work.rmatvec(state.y, state.Fx_prev)
-    np.add(state.grad_x, state.Fx_prev, state.Fx_prev)
-    np.negative(state.Kx, state.Fy_prev)
-
-
-def _agraal_kernel(state, problem, config, scheme):
+def _agraal_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g_prox, h_grad,
+                   x_spare, y_spare, Kx_spare, z_spare, y_bar_spare, Fx_spare, Fy_spare,
+                   scratch_n, scratch_m, grad_spare=None):
     """The fully adaptive golden-ratio iteration on the joint primal-dual field.
 
     The vector field is F(x, y) = (grad h(x) + K* y, -K x) over the product
     space with the sum inner product, so the stepsize ratio uses
     sqrt(||dx||^2 + ||dy||^2). Primal and dual updates share one stepsize
-    and are computed from the lagged iterate (Jacobian style).
+    and are computed from the lagged iterate (Jacobian style). The start
+    sets sigma to tau, the one stepsize, and the lagged dual iterate and
+    vector field.
     """
-    work = state.work
-    rmatvec, matvec, f_prox, g_prox, h_grad = (
-        work.rmatvec, work.matvec, work.f_prox, work.g_prox, work.h_grad)
-    sn, sm, w, x_sum, w_sum = work.scratch_n, work.scratch_m, state.w, state.x_sum, state.w_sum
+    state.sigma = state.tau
+    np.copyto(state.y_prev, state.y)
+    np.copyto(state.y_bar, state.y)
+    rmatvec(state.y, state.Fx_prev)
+    np.add(state.grad_x, state.Fx_prev, state.Fx_prev)
+    np.negative(state.Kx, state.Fy_prev)
+    sn, sm, w, x_sum, w_sum = scratch_n, scratch_m, state.w, state.x_sum, state.w_sum
     smooth, name = scheme.smooth, config.algorithm
     psi, rho, tau_max = config.psi, config.effective_rho, config.tau_max
     psi_op, psi_1_op, lam_op = map(np.array, (psi, psi - 1.0, 0.0))  # as in _golden_kernel
 
     def step(n):
+        nonlocal x_spare, y_spare, Kx_spare, z_spare, y_bar_spare, Fx_spare, Fy_spare, grad_spare
         state.n = n
         x, y, Kx, grad_x, lam = state.x, state.y, state.Kx, state.grad_x, state.tau
-        Fx, Fy, x_bar, y_bar = work.Fx_spare, work.Fy_spare, work.z_spare, work.y_bar_spare
-        x_new, Kx_new, grad_new = work.x_spare, work.Kx_spare, work.grad_spare
+        Fx, Fy, x_bar, y_bar = Fx_spare, Fy_spare, z_spare, y_bar_spare
+        x_new, Kx_new, grad_new = x_spare, Kx_spare, grad_spare
         np.add(grad_x, rmatvec(y, Fx), Fx)
         np.negative(Kx, Fy)
         # ||x - x_prev|| is the last step's ||x_new - x||, from the same operands
@@ -566,21 +518,21 @@ def _agraal_kernel(state, problem, config, scheme):
         np.divide(np.add(np.multiply(psi_1_op, y, y_bar), state.y_bar, y_bar), psi_op, y_bar)
         if not lam_new > 0.0:
             raise NumericAbort(name, n, "stepsize reached 0")
-        y_new = np.add(np.divide(y_bar, lam_op, work.y_spare), Kx, work.y_spare)
+        y_new = np.add(np.divide(y_bar, lam_op, y_spare), Kx, y_spare)
         g_prox(y_new, 1.0 / lam_new, w)
         np.add(y_bar, np.multiply(lam_op, np.subtract(Kx, w, y_new), y_new), y_new)
         ndx = math.sqrt(np.subtract(x_new, x, sn).dot(sn))
         matvec(x_new, Kx_new)
         if smooth:
             h_grad(x_new, grad_new)
-            work.grad_spare, state.grad_x = grad_x, grad_new
-        work.x_spare, state.x_prev, state.x = state.x_prev, x, x_new
-        work.y_spare, state.y_prev, state.y = state.y_prev, y, y_new
-        work.Kx_spare, state.Kx = Kx, Kx_new
-        work.Fx_spare, state.Fx_prev = state.Fx_prev, Fx
-        work.Fy_spare, state.Fy_prev = state.Fy_prev, Fy
-        work.z_spare, state.z = state.z, x_bar
-        work.y_bar_spare, state.y_bar = state.y_bar, y_bar
+            grad_spare, state.grad_x = grad_x, grad_new
+        x_spare, state.x_prev, state.x = state.x_prev, x, x_new
+        y_spare, state.y_prev, state.y = state.y_prev, y, y_new
+        Kx_spare, state.Kx = Kx, Kx_new
+        Fx_spare, state.Fx_prev = state.Fx_prev, Fx
+        Fy_spare, state.Fy_prev = state.Fy_prev, Fy
+        z_spare, state.z = state.z, x_bar
+        y_bar_spare, state.y_bar = state.y_bar, y_bar
         state.tau = state.sigma = lam_new
         state.dx_norm = ndx
         state.theta_prev, state.theta = state.theta, psi * lam_new / lam
@@ -599,30 +551,28 @@ def _agraal_kernel(state, problem, config, scheme):
 class Scheme:
     """One algorithm: its kernel builder, stepsize rule, parameter checks and warnings.
 
-    ``step(state, problem, config, scheme)`` builds the run's kernel once,
-    after ``init_state``: a closure ``step(n)`` that binds the oracle calls,
-    the views that never move and the rule's constants, makes iteration n,
-    checks that its iterates are finite, adds them to the ergodic sums and
-    returns ||x - z||. The golden-ratio schemes share ``_golden_kernel`` and differ
-    only in ``rule`` (nonincreasing, adaptive or fixed) and in ``smooth``,
-    whether grad h enters the primal step; ``run_solver`` turns ``smooth``
-    off for every scheme when h is a ``ZeroSmooth``. A ``fixed_step`` scheme keeps the
-    configured tau and sigma; it and a ``needs_k_norm`` scheme get ||K||
-    resolved before the run. ``check`` yields parameter violations beyond
-    the shared ones, ``region`` the fixed-stepsize region warnings, and
-    ``start`` sets up extra state the kernel keeps. ``primal_views`` and
-    ``dual_views`` name the views of the run's block (see ``Workspace``)
-    that the scheme keeps beyond every run's.
+    ``step(state, problem, config, scheme, **calls_and_views)`` builds the
+    run's kernel once, in ``_start``: a closure ``step(n)`` that binds the
+    oracle calls, the spare and scratch views (swapping the spares in its
+    own scope) and the rule's constants, makes iteration n, checks that its
+    iterates are finite, adds them to the ergodic sums and returns
+    ||x - z||. The golden-ratio schemes share ``_golden_kernel`` and differ
+    only in ``rule`` and in ``smooth``, whether grad h enters the primal
+    step; ``run_solver`` turns ``smooth`` off for every scheme when h is a
+    ``ZeroSmooth``. ``rule`` is the stepsize rule: ``nonincreasing``,
+    ``adaptive``, ``fixed`` (the configured tau and sigma) or None (agraal's
+    own, set up by its kernel). ||K|| is resolved before the run for the
+    fixed and adaptive rules. ``check`` yields parameter violations beyond
+    the shared ones and ``region`` the fixed-stepsize region warnings.
+    ``primal_views`` and ``dual_views`` name the views of the run's block
+    (see ``_start``) that the scheme keeps beyond every run's.
     """
 
     step: Callable
     rule: str | None = None
     smooth: bool = True
-    fixed_step: bool = False
-    needs_k_norm: bool = False
     check: Callable | None = None
     region: Callable | None = None
-    start: Callable | None = None
     primal_views: tuple = ()
     dual_views: tuple = ()
 
@@ -632,17 +582,15 @@ _Z_VIEWS = ("z", "z_spare")
 SCHEMES = {
     "pgrpda": Scheme(_golden_kernel, "nonincreasing", check=_check_pgrpda,
                      primal_views=_Z_VIEWS, dual_views=("scratch_m",)),
-    "aegrpda": Scheme(_golden_kernel, "adaptive", needs_k_norm=True, check=_check_growth,
-                      primal_views=_Z_VIEWS),
-    "egrpda": Scheme(_golden_kernel, "fixed", fixed_step=True, check=_check_golden_psi,
-                     region=_egrpda_region, primal_views=_Z_VIEWS),
-    "condat_vu": Scheme(_condat_vu_kernel, fixed_step=True, region=_condat_vu_region,
+    "aegrpda": Scheme(_golden_kernel, "adaptive", check=_check_growth, primal_views=_Z_VIEWS),
+    "egrpda": Scheme(_golden_kernel, "fixed", check=_check_golden_psi, region=_egrpda_region,
+                     primal_views=_Z_VIEWS),
+    "condat_vu": Scheme(_condat_vu_kernel, "fixed", region=_condat_vu_region,
                         dual_views=("scratch_m",)),
-    "pdhg": Scheme(_condat_vu_kernel, fixed_step=True, region=_pdhg_region,
-                   dual_views=("scratch_m",)),
-    "grpda": Scheme(_golden_kernel, "fixed", smooth=False, fixed_step=True,
-                    check=_check_golden_psi, region=_grpda_region, primal_views=_Z_VIEWS),
-    "agraal": Scheme(_agraal_kernel, check=_check_growth, start=_agraal_start,
+    "pdhg": Scheme(_condat_vu_kernel, "fixed", region=_pdhg_region, dual_views=("scratch_m",)),
+    "grpda": Scheme(_golden_kernel, "fixed", smooth=False, check=_check_golden_psi,
+                    region=_grpda_region, primal_views=_Z_VIEWS),
+    "agraal": Scheme(_agraal_kernel, check=_check_growth,
                      primal_views=(*_Z_VIEWS, "Fx_prev", "Fx_spare"),
                      dual_views=("y_prev", "y_bar", "y_bar_spare", "Fy_prev", "Fy_spare",
                                  "scratch_m")),
@@ -694,8 +642,7 @@ def _finite_iterates(state):
 def _resolve_k_norm(problem, config):
     if config.K_norm is not None:
         return config.K_norm
-    scheme = SCHEMES[config.algorithm]
-    if scheme.fixed_step or scheme.needs_k_norm:
+    if SCHEMES[config.algorithm].rule in ("fixed", "adaptive"):
         return operator_norm(problem.K, seed=config.seed)
     return None
 
@@ -726,12 +673,11 @@ def run_solver(problem, config, x0=None, y0=None, f_star=None, f_star_provenance
         f_star = problem.F_star
         if f_star is not None and f_star_provenance is None:
             f_star_provenance = problem.F_star_provenance
-    state = init_state(problem, config, x0, y0)
+    # the kernel is kept out of the state: stored there it would close a
+    # reference cycle that keeps each finished run's block alive until a gc pass
+    state, step = _start(problem, config, x0, y0)
     trace = IterationTrace()
-    scheme = state.work.scheme
-    # kept out of the state: a kernel stored there would close a reference
-    # cycle that keeps each finished run's block alive until a gc pass
-    step = scheme.step(state, problem, config, scheme)
+    fixed = SCHEMES[config.algorithm].rule == "fixed"
     stop_tol = config.stop_tol
     x_true = problem.x_true
     x_true_norm = None if x_true is None else _norm(x_true)
@@ -754,7 +700,7 @@ def run_solver(problem, config, x0=None, y0=None, f_star=None, f_star_provenance
                     # finite iterates can still overflow the objective
                     raise NumericAbort(config.algorithm, n) from None
                 row = {"n": n, "t": state.elapsed, "F": f_val, "tau": state.tau,
-                       "sigma": state.sigma, "theta": None if scheme.fixed_step else state.theta,
+                       "sigma": state.sigma, "theta": None if fixed else state.theta,
                        "dx": state.dx_norm, "xz": xz,
                        "cviol": constraint_violation(problem.K, state.x_bar, state.w_bar)}
                 if f_star is not None:

@@ -435,8 +435,9 @@ def _agraal_step_fresh(state, problem, config, scheme):
     return state
 
 
-def _agraal_fresh_kernel(state, problem, config, scheme):
+def _agraal_fresh_kernel(state, problem, config, scheme, **calls_and_views):
     """A kernel builder around ``_agraal_step_fresh``, with the run loop's bookkeeping."""
+    solvers._agraal_kernel(state, problem, config, scheme, **calls_and_views)  # the start
 
     def step(n):
         state.n = n
@@ -826,7 +827,7 @@ def test_grpda_ignores_smooth_term(rng):
     for name in ("x", "z", "y", "w"):
         assert np.array_equal(getattr(state, name), getattr(zero_state, name))
     assert np.array_equal(trace.column("dx"), zero_trace.column("dx"))
-    assert calls == [1] * 40  # the one call is init_state's
+    assert calls == [1] * 40  # the one call is _start's
 
 
 def test_run_determinism_bitwise(tmp_path):
@@ -1079,7 +1080,7 @@ def test_zero_smooth_makes_no_gradient_calls_and_keeps_iterates():
                     dataclasses.replace(base, h=h), cfg, y0=-base.meta["b"],
                     record_time=False, callback=lambda st: calls.append(counting.grad_calls),
                 ))
-        assert calls[:60] == [1] * 60, cfg.algorithm  # the one call is init_state's
+        assert calls[:60] == [1] * 60, cfg.algorithm  # the one call is _start's
         (state, trace, _), (duck_state, duck_trace, _) = runs
         for name in ("x", "z", "y", "w", "x_bar", "w_bar"):
             assert getattr(state, name).tobytes() == getattr(duck_state, name).tobytes()
@@ -1268,6 +1269,29 @@ def test_x_prev_at_each_callback_is_the_previous_iterate(alg):
     assert len(seen) == 120
 
 
+@pytest.mark.parametrize("alg", ALGORITHM_NAMES)
+def test_the_stepsize_rule_decides_fixed_steps_k_norm_and_theta(alg):
+    # fixed schemes keep the configured (tau, sigma) and trace no theta; the
+    # fixed and adaptive rules get ||K|| resolved; agraal has one stepsize
+    fixed = alg in ("egrpda", "grpda", "condat_vu", "pdhg")
+    problem = gen_lasso(20, 40, 3, scheme="gaussian", seed=2)
+    cfg = next(c for c in _scheme_configs(problem) if c.algorithm == alg)
+    cfg = dataclasses.replace(cfg, K_norm=None, max_iters=30, trace_stride=1)
+    steps = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StepsizeWarning)
+        _, trace, summary = run_solver(problem, cfg, y0=-problem.meta["b"],
+                                       callback=lambda st: steps.append((st.tau, st.sigma)))
+    assert (summary.k_norm is None) == (alg in ("pgrpda", "agraal"))
+    theta = trace.column("theta")
+    assert len(theta) == 30
+    assert np.isnan(theta).all() if fixed else np.isfinite(theta).all()
+    if fixed:
+        assert steps == [(cfg.tau, cfg.sigma)] * 30
+    if alg == "agraal":
+        assert all(tau == sigma for tau, sigma in steps)
+
+
 @pytest.mark.parametrize("alg", ["aegrpda", "agraal"])
 def test_a_step_that_aborts_leaves_the_last_finished_iteration(alg):
     # the step writes x_new and z (and agraal's y_bar) before its dual step
@@ -1305,19 +1329,18 @@ def test_one_block_holds_the_whole_working_set():
     # so that the rows can start on a line wherever it lands
     problem = gen_inpainting(synthetic_blocks_image(12, 10), 0.3, 1e-2, seed=1)
     n, m = problem.K.shape
-    state = solvers.init_state(problem, SolverConfig("aegrpda", K_norm=1.0))
+    state, step = solvers._start(problem, SolverConfig("aegrpda", K_norm=1.0))
     block = state.x.base
     assert block.size == 9 * _padded(n) + 6 * _padded(m) + 7 == 21 * n + 7
-    work = state.work
-    assert work.scratch_m is None  # the aegrpda step needs none
-    arrays = [state.x, state.x_prev, state.z, state.y, state.Kx, state.grad_x, state.w,
-              state.x_sum, state.w_sum, work.x_spare, work.z_spare, work.y_spare,
-              work.Kx_spare, work.grad_spare, work.scratch_n]
+    kept = dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+    assert kept["sm"] is None  # the aegrpda step needs no scratch_m
+    arrays = _run_views(state, step)
+    assert len(arrays) == 15
     assert all(a.base is block for a in arrays)
     starts = sorted(a.__array_interface__["data"][0] for a in arrays)
     assert len(set(starts)) == len(arrays)  # no two views share a start
     # a second run of the same problem shares nothing with the first
-    other = solvers.init_state(problem, SolverConfig("aegrpda", K_norm=1.0))
+    other, _ = solvers._start(problem, SolverConfig("aegrpda", K_norm=1.0))
     assert not np.shares_memory(other.x.base, block)
 
 
@@ -1326,7 +1349,7 @@ def test_views_per_scheme_are_the_ones_its_step_uses():
     n, m = _padded(problem.K.shape[0]), _padded(problem.K.shape[1])
     sizes = {}
     for cfg in _scheme_configs(problem):
-        state = solvers.init_state(problem, cfg)
+        state, _ = solvers._start(problem, cfg)
         sizes[cfg.algorithm] = state.x.base.size
     # x, z, grad h (0), the sum and a scratch vector; y, Kx, w and the sum;
     # the 7 entries that let the rows start on a cache line
@@ -1342,10 +1365,12 @@ def test_views_per_scheme_are_the_ones_its_step_uses():
     }
 
 
-def _run_views(state):
-    """Every array of a run made by ``init_state``: the state's and the workspace's."""
-    return [a for a in (*vars(state).values(), *vars(state.work).values())
-            if isinstance(a, np.ndarray)]
+def _run_views(state, step):
+    """Every view of a run made by ``_start``: the state's and those its kernel keeps."""
+    kept = (c.cell_contents for c in step.__closure__)
+    views = [a for a in vars(state).values() if isinstance(a, np.ndarray)]
+    views += [a for a in kept if isinstance(a, np.ndarray) and a.base is state.x.base]
+    return list({id(a): a for a in views}.values())  # state.z may be x_prev
 
 
 @pytest.mark.parametrize("make", [
@@ -1358,9 +1383,11 @@ def test_every_view_starts_on_a_cache_line(make):
     n, m = problem.K.shape
     assert n % 8 and m % 8
     for cfg in _scheme_configs(problem, k=linops.operator_norm(problem.K)):
-        state = solvers.init_state(problem, cfg)
-        views = _run_views(state)
+        state, step = solvers._start(problem, cfg)
+        views = _run_views(state, step)
         assert len(views) >= 13, cfg.algorithm
+        primal, dual, _ = solvers._layout(solvers._run_scheme(problem, cfg))
+        assert len(views) == len(primal) + len(dual), cfg.algorithm
         for view in views:
             assert view.base is state.x.base and view.flags.c_contiguous
             assert view.ctypes.data % 64 == 0, (cfg.algorithm, view.size)
