@@ -4,6 +4,10 @@ All operators act on flat float64 vectors. Images are flattened row-major,
 and 2-D gradient fields are stored as two stacked channels of equal length:
 horizontal differences first, then vertical differences.
 
+``estimate_operator_norm`` applies a ``LinearOperator`` through ``out``
+into two vectors it allocates once per call, so its power iteration
+allocates nothing per step.
+
 scipy.sparse is imported only by the operators that store a sparse
 matrix (``CsrOperator``, ``csr_from_triplets``, ``GridIncidence``), when
 they are built, so dense and matrix-free use never loads scipy.
@@ -424,26 +428,59 @@ def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):
     the true norm up to the tolerance, and is nondecreasing in the
     iteration budget for a fixed seed. Use ``operator_norm`` for a
     stepsize bound: it returns the exact norm where a closed form exists.
+
+    A ``LinearOperator`` is applied through ``out`` into two vectors
+    allocated once per call, one of each length, and each step normalises
+    K*K v in place, so the loop allocates nothing. Any other object is
+    called without ``out``, and its result, which may be a strided view it
+    owns, is normalised into a new array. Either way each step makes the
+    same floating-point operations in the same order.
     """
-    if tol <= 0:
-        raise ParameterError("tol must be positive")
+    if not max_iter >= 1:
+        raise ParameterError(f"max_iter must be >= 1 (got {max_iter})")
+    if not tol > 0:
+        raise ParameterError(f"tol must be positive (got {tol})")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.shape.domain_dim)
     nv = vector_norm(v)
     if nv == 0:
         return 0.0
     v /= nv
+    gram = _gram_step(op)
     rayleigh = 0.0
     prev = -np.inf
     for _ in range(max_iter):
-        w = op.rmatvec(op.matvec(v))
-        rayleigh = float(v @ w)
+        w, out = gram(v)
+        # ndarray.dot: the BLAS dot of v @ w with less call overhead
+        rayleigh = float(v.dot(w))
         # a contiguous copy of a strided w, as np.linalg.norm sums it
         nw = vector_norm(w.ravel())
         if nw == 0:
             return 0.0
-        v = w / nw
+        v = np.divide(w, nw, out)
         if abs(rayleigh - prev) <= tol * max(abs(rayleigh), 1e-30):
             break
         prev = rayleigh
     return float(np.sqrt(max(rayleigh, 0.0)))
+
+
+def _gram_step(op):
+    """The power iteration's application: v -> (K*K v, where to normalise it).
+
+    For a ``LinearOperator``, K v goes into a vector of the codomain's
+    length and K*K v into a spare of the domain's length, which is then
+    normalised in place; v's buffer becomes the next spare. For any other
+    object the place is None: a new array.
+    """
+    if not isinstance(op, LinearOperator):
+        return lambda v: (op.rmatvec(op.matvec(v)), None)
+    kv = np.empty(op.shape.codomain_dim)
+    spare = np.empty(op.shape.domain_dim)
+
+    def gram(v):
+        nonlocal spare
+        w = op.rmatvec(op.matvec(v, kv), spare)
+        spare = v
+        return w, w
+
+    return gram

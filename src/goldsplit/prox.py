@@ -30,7 +30,8 @@ from .linops import DenseOperator, into, operator_norm
 
 
 def _check_step(t, lam=0.0):
-    if t < 0 or lam < 0:
+    # written so that NaN fails; an infinite step is allowed
+    if not (t >= 0 and lam >= 0):
         raise ParameterError("prox step and regularization weight must be >= 0")
 
 
@@ -49,7 +50,7 @@ def prox_l1(v, t, lam, out=None):
 def prox_sq_l2(v, t, weight=1.0, b=None, out=None):
     """Prox of weight/2 * ||. - b||^2, closed form (v + t*weight*b) / (1 + t*weight)."""
     _check_step(t)
-    if weight <= 0:
+    if not weight > 0:
         raise ParameterError("weight must be positive")
     if out is None:
         if b is None:
@@ -164,7 +165,7 @@ class L1Prox(ProxOracle):
     """lam * ||.||_1 with the soft-thresholding prox."""
 
     def __init__(self, lam):
-        if lam < 0:
+        if not lam >= 0:
             raise ParameterError("l1 weight must be >= 0")
         self.lam = lam
 
@@ -179,7 +180,7 @@ class GroupL21Prox(ProxOracle):
     """Isotropic group penalty lam * sum_p ||(v_h[p], v_v[p])||_2."""
 
     def __init__(self, lam, n_pixels):
-        if lam < 0:
+        if not lam >= 0:
             raise ParameterError("group_l21 weight must be >= 0")
         self.lam = lam
         self.n_pixels = n_pixels
@@ -203,7 +204,7 @@ class SquaredL2Prox(ProxOracle):
     """weight/2 * ||. - offset||^2; offset None means the origin."""
 
     def __init__(self, weight=1.0, offset=None):
-        if weight <= 0:
+        if not weight > 0:
             raise ParameterError("weight must be positive")
         self.weight = weight
         self.offset = None if offset is None else np.asarray(offset, dtype=np.float64)
@@ -218,7 +219,7 @@ class SquaredL2Prox(ProxOracle):
 
 def moreau_conjugate_prox(g, v, sigma):
     """prox of sigma * g^* via Moreau: v - sigma * prox_{g/sigma}(v / sigma)."""
-    if sigma <= 0:
+    if not sigma > 0:
         raise ParameterError("sigma must be positive")
     return v - sigma * g.prox(v / sigma, 1.0 / sigma)
 

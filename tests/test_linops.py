@@ -423,6 +423,9 @@ def test_norm_monotone_in_budget():
 def test_norm_rejects_bad_tol():
     with pytest.raises(ParameterError):
         estimate_operator_norm(IdentityOperator(3), tol=0.0)
+    for bad in ({"tol": -1e-8}, {"tol": math.nan}, {"max_iter": 0}, {"max_iter": -3}):
+        with pytest.raises(ParameterError):
+            estimate_operator_norm(DenseOperator(np.eye(3)), **bad)
 
 
 def test_matvec_shape_checks(rng):
@@ -541,11 +544,42 @@ def test_power_iteration_returns_the_linalg_norm_result(seed):
     A = rng.standard_normal((50, 100))
     sparse = sp.random(60, 40, density=0.2, random_state=seed, format="csr")
     for op in (DenseOperator(A), CsrOperator(sparse), _DuckOperator(A),
-               DenseOperator(np.zeros((3, 4)))):
+               DenseOperator(np.zeros((3, 4))), FirstDifference(30),
+               DiscreteGradient2D(9, 7), GridIncidence(4, 5), IdentityOperator(8),
+               graph_laplacian(GridIncidence(4, 3))):
         for tol in (1e-8, 1e-13):
             assert estimate_operator_norm(op, tol=tol, seed=seed) == (
                 _linalg_norm_power_iteration(op, tol=tol, seed=seed)
             )
+
+
+class _OutRecordingDense(DenseOperator):
+    """A dense operator that keeps the ``out`` of each application."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.outs = {"matvec": [], "rmatvec": []}
+
+    def matvec(self, x, out=None):
+        self.outs["matvec"].append(out)
+        return super().matvec(x, out)
+
+    def rmatvec(self, y, out=None):
+        self.outs["rmatvec"].append(out)
+        return super().rmatvec(y, out)
+
+
+def test_power_iteration_applies_a_linear_operator_into_two_buffers(rng):
+    A = rng.standard_normal((50, 100))
+    op = _OutRecordingDense(A)
+    assert estimate_operator_norm(op, seed=3) == (
+        _linalg_norm_power_iteration(DenseOperator(A), seed=3)
+    )
+    for method, outs in op.outs.items():
+        assert len(outs) > 2, method
+        assert all(out is not None for out in outs), method
+        # the list keeps every buffer alive, so distinct ids are distinct buffers
+        assert len({id(out) for out in outs}) <= 2, method
 
 
 # ---------------------------------------------------------------------------

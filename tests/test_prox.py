@@ -47,6 +47,9 @@ def test_prox_l1_rejects_negative_parameters():
         prox_l1(np.zeros(2), -0.1, 1.0)
     with pytest.raises(ParameterError):
         prox_l1(np.zeros(2), 1.0, -1.0)
+    for t, lam in ((np.nan, 1.0), (1.0, np.nan)):
+        with pytest.raises(ParameterError):
+            prox_l1(np.zeros(2), t, lam)
 
 
 def test_prox_group_l21_examples():
@@ -273,6 +276,25 @@ def test_moreau_identity_all_kinds(rng):
 def test_moreau_rejects_bad_sigma():
     with pytest.raises(ParameterError):
         moreau_conjugate_prox(L1Prox(1.0), np.zeros(2), 0.0)
+    with pytest.raises(ParameterError):
+        moreau_conjugate_prox(L1Prox(1.0), np.zeros(2), np.nan)
+
+
+def test_prox_oracles_reject_nan_parameters():
+    v = np.array([1.0, -2.0])
+    for build in (lambda: L1Prox(np.nan), lambda: GroupL21Prox(np.nan, 1),
+                  lambda: SquaredL2Prox(np.nan), lambda: SquaredL2Prox(-1.0)):
+        with pytest.raises(ParameterError):
+            build()
+    for call in (lambda: prox_sq_l2(v, np.nan), lambda: prox_sq_l2(v, 1.0, np.nan),
+                 lambda: prox_group_l21(v, np.nan, 1.0, 1),
+                 lambda: prox_group_l21(v, 1.0, np.nan, 1),
+                 lambda: GroupL21Prox(1.0, 1).prox(v, np.nan),
+                 lambda: ZeroProx().prox(v, np.nan)):
+        with pytest.raises(ParameterError):
+            call()
+    # an infinite step stays allowed
+    assert np.array_equal(L1Prox(1.0).prox(v, np.inf), [0.0, 0.0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,6 +26,14 @@ puts in every summary, are fingerprinted too; it runs on its own copy of
 the lasso instance, because the reference run records F\* in the
 manifest, where the other lasso settings would read it.
 
+The next line fingerprints the power iteration itself, on operators of
+every kind, not only the dense ``k_norm`` of the run summaries:
+
+    norms sha256=<sha256>
+
+It hashes ``estimate_operator_norm(op, tol, seed).hex()`` for each
+operator of ``_NORMS``, tolerances 1e-8 and 1e-13 and seeds 0 and 1.
+
 The last line fingerprints the acceptance battery's cheap suites:
 
     verify exit=<code> report=<sha256|->
@@ -99,6 +107,27 @@ SETTINGS = {
     "lasso-fstar-ref": ("lasso_ref", ["--y0", "neg-b", "--fstar-ref-iters", "300", *_STEPS]),
 }
 
+# Prints the power-iteration estimate of each operator kind, in hex, one per line.
+_NORMS = (
+    "import numpy as np\n"
+    "from goldsplit.linops import (DenseOperator, DiscreteGradient2D, FirstDifference,\n"
+    "    GramOperator, GridIncidence, IdentityOperator, csr_from_triplets,\n"
+    "    estimate_operator_norm)\n"
+    "rng = np.random.default_rng(19)\n"
+    "rows, cols = rng.integers(0, 30, 120), rng.integers(0, 45, 120)\n"
+    "triplets = [(int(r), int(c), float(v))\n"
+    "            for r, c, v in zip(rows, cols, rng.standard_normal(120))]\n"
+    "A = rng.standard_normal((50, 100))\n"
+    "ops = [DenseOperator(A), csr_from_triplets(30, 45, triplets), FirstDifference(40),\n"
+    "       DiscreteGradient2D(13, 11), GridIncidence(6, 7), GramOperator(DenseOperator(A)),\n"
+    "       IdentityOperator(9), DenseOperator(np.zeros((4, 6))),\n"
+    "       DenseOperator(rng.standard_normal((100, 50)))]\n"
+    "for op in ops:\n"
+    "    for tol in (1e-8, 1e-13):\n"
+    "        for seed in (0, 1):\n"
+    "            print(estimate_operator_norm(op, tol=tol, seed=seed).hex())\n"
+)
+
 # the acceptance suites of the verify line (about 4 s on a 2-core host)
 VERIFY_SUITES = "prox,operators,stepsize,determinism"
 
@@ -144,11 +173,15 @@ def _hashes(csv_path, summary_path):
     return csv, summary, _sha(json.dumps(cviol)) if cviol else "-"
 
 
-def _cli(checkout, args):
+def _python(checkout, code, args=()):
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
     return subprocess.run(
-        [sys.executable, "-c", _CLI, *args], env=env, capture_output=True, text=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
     )
+
+
+def _cli(checkout, args):
+    return _python(checkout, _CLI, args)
 
 
 def main(argv=None):
@@ -184,6 +217,10 @@ def main(argv=None):
                 print(f"{setting} {solver} exit={proc.returncode} csv={csv} "
                       f"summary={summary} cviol={cviol} stderr={json.dumps(stderr)}",
                       flush=True)
+        proc = _python(args.checkout, _NORMS)
+        if proc.returncode != 0:
+            sys.exit(f"norms failed: {proc.stderr.strip()}")
+        print(f"norms sha256={_sha(proc.stdout)}", flush=True)
         report_path = tmp / "verify.json"
         proc = _cli(args.checkout, ["verify", "--suite", VERIFY_SUITES,
                                     "--report", str(report_path)])
