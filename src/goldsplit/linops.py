@@ -6,7 +6,8 @@ horizontal differences first, then vertical differences.
 
 ``estimate_operator_norm`` applies a ``LinearOperator`` through ``out``
 into two vectors it allocates once per call, so its power iteration
-allocates nothing per step.
+allocates nothing per step, and keeps each estimate on the operator per
+seed, tolerance and budget, where ``operator_norm`` and repeat calls read it.
 
 scipy.sparse is imported only by the operators that store a sparse
 matrix (``CsrOperator``, ``csr_from_triplets``, ``GridIncidence``), when
@@ -56,8 +57,8 @@ class LinearOperator:
     Subclasses implement ``matvec`` (K x) and ``rmatvec`` (K* y) and must
     satisfy the adjoint identity <Kx, y> == <x, K*y>. Operators are immutable
     after construction; both applications are read-only and reentrant.
-    The one thing an operator keeps is its spectral norm per seed, which
-    ``operator_norm`` writes once and returns on every later call.
+    The one thing an operator keeps is its power-iteration estimate per
+    seed, tolerance and budget, which ``estimate_operator_norm`` writes.
     Both take an optional ``out``, a float64 vector of the result's length
     that must not overlap the input: as with numpy ufuncs, the result is
     written there and ``out`` is returned. A subclass that overrides either
@@ -74,7 +75,7 @@ class LinearOperator:
         self.shape = shape
         self._domain_shape = (shape.domain_dim,)
         self._codomain_shape = (shape.codomain_dim,)
-        self._norms = {}  # seed -> ||K||, kept by operator_norm
+        self._norms = {}  # (seed, tol, max_iter) -> estimate_operator_norm's ||K||
 
     def matvec(self, x, out=None):
         raise NotImplementedError
@@ -333,7 +334,7 @@ class GramOperator(LinearOperator):
 
     def exact_norm(self):
         # ||D^T D|| = ||D||^2
-        inner = _exact_norm(self.inner)
+        inner = getattr(self.inner, "exact_norm", lambda: None)()
         return None if inner is None else inner * inner
 
 
@@ -398,25 +399,16 @@ class DiscreteGradient2D(LinearOperator):
         return _grid_norm(self.rows, self.cols)
 
 
-def _exact_norm(op):
-    exact = getattr(op, "exact_norm", None)
-    return None if exact is None else exact()
-
-
 def operator_norm(op, seed=0):
     """||K|| for the solvers: exact where a closed form exists.
 
-    Operators without one (dense, CSR and duck-typed operators that only
-    provide ``matvec``/``rmatvec``/``shape``) fall back to
-    ``estimate_operator_norm`` with the given seed. The one norm cache: a
-    ``LinearOperator`` keeps the result per seed for its runs, smooth
-    oracles and ``NUMBER/K`` stepsizes; other objects are normed per call.
+    Operators without one (dense, CSR and duck-typed operators) fall back
+    to ``estimate_operator_norm`` with the given seed and its default
+    budget, which a ``LinearOperator`` keeps for its runs, smooth oracles
+    and ``NUMBER/K`` stepsizes.
     """
-    norms = getattr(op, "_norms", {})
-    if seed not in norms:
-        norm = _exact_norm(op)
-        norms[seed] = estimate_operator_norm(op, seed=seed) if norm is None else norm
-    return norms[seed]
+    norm = getattr(op, "exact_norm", lambda: None)()
+    return estimate_operator_norm(op, seed=seed) if norm is None else norm
 
 
 def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):
@@ -428,6 +420,10 @@ def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):
     the true norm up to the tolerance, and is nondecreasing in the
     iteration budget for a fixed seed. Use ``operator_norm`` for a
     stepsize bound: it returns the exact norm where a closed form exists.
+    The one norm cache: a ``LinearOperator`` keeps each estimate per
+    integer seed (None draws fresh entropy), ``tol`` and ``max_iter`` and
+    returns it on a repeat call without a product; other objects are
+    estimated on every call.
 
     A ``LinearOperator`` is applied through ``out`` into two vectors
     allocated once per call, one of each length, and each step normalises
@@ -440,11 +436,15 @@ def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):
         raise ParameterError(f"max_iter must be >= 1 (got {max_iter})")
     if not tol > 0:
         raise ParameterError(f"tol must be positive (got {tol})")
+    key = (seed, tol, max_iter) if isinstance(seed, (int, np.integer)) else None
+    norms = getattr(op, "_norms", {}) if key else {}
+    if key in norms:
+        return norms[key]
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(op.shape.domain_dim)
     nv = vector_norm(v)
     if nv == 0:
-        return 0.0
+        return norms.setdefault(key, 0.0)
     v /= nv
     gram = _gram_step(op)
     rayleigh = 0.0
@@ -456,12 +456,12 @@ def estimate_operator_norm(op, tol=1e-8, max_iter=5000, seed=0):
         # a contiguous copy of a strided w, as np.linalg.norm sums it
         nw = vector_norm(w.ravel())
         if nw == 0:
-            return 0.0
+            return norms.setdefault(key, 0.0)
         v = np.divide(w, nw, out)
         if abs(rayleigh - prev) <= tol * max(abs(rayleigh), 1e-30):
             break
         prev = rayleigh
-    return float(np.sqrt(max(rayleigh, 0.0)))
+    return norms.setdefault(key, float(np.sqrt(max(rayleigh, 0.0))))
 
 
 def _gram_step(op):

@@ -289,7 +289,7 @@ def conjugate_gradient_solve(op, rhs, tol=1e-8, max_iter=1000):
     sweeps. The symmetry contract is always probed, on one pair drawn from
     its own seeded generator, and a violation raises ContractError.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError("tol must be positive")
     rhs = np.asarray(rhs, dtype=np.float64)
     probe = np.random.default_rng(0)

@@ -5,7 +5,7 @@ prox_t(v) = argmin_u value(u) + ||u - v||^2 / (2 t); a step of t = 0 is the
 identity. Conjugate proxes are always derived through the Moreau
 decomposition (``moreau_conjugate_prox``) rather than hand-coded per
 function. Smooth oracles expose ``value``, ``grad`` and a gradient
-Lipschitz bound ``lipschitz()`` whose norms ``operator_norm`` keeps.
+Lipschitz bound ``lipschitz()`` whose norms come from ``operator_norm``.
 
 ``prox``, ``grad`` and the public prox functions take an optional ``out``,
 a float64 array of the result's shape: as with numpy ufuncs, the result is
@@ -264,7 +264,8 @@ class LeastSquares(SmoothOracle):
     """scale * 1/2 * ||A x - b||^2 with gradient scale * A^T (A x - b).
 
     The smoothness bound is scale * ||A||^2, with ||A|| from
-    ``operator_norm``: computed on first use and kept on A.
+    ``operator_norm``: a closed form, or an estimate made on first use
+    and kept on A.
     """
 
     def __init__(self, A, b, scale=1.0):

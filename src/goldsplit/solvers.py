@@ -88,8 +88,10 @@ class SolverConfig:
     as lambda_0 for agraal; ``tau_max`` bounds the adaptive growth (and is
     lambda_max for agraal). ``extended`` selects the enlarged pgrpda
     parameter region with psi up to 1 + sqrt(3). An unset ``K_norm`` is
-    ``operator_norm(K, seed)``: the closed form where one exists, else a
-    power-iteration estimate, each made once per operator and seed. The
+    ``operator_norm(K, seed)``: the closed form where one exists, else the
+    power-iteration estimate that ``estimate_operator_norm`` keeps on the
+    operator per seed, tolerance and budget, so a caller's own estimate
+    with the same seed and the default budget is not made again. The
     CLI's ``NUMBER/K`` stepsizes divide by the same ``K_norm``.
     """
 

@@ -88,9 +88,9 @@ def eta_bound(tau0, mu, mu_prime, beta, K_norm, L_bar):
     Zero ``K_norm`` or ``L_bar`` removes the corresponding term (the 1/0 =
     infinity convention).
     """
-    if tau0 <= 0 or mu <= 0 or mu_prime <= 0 or beta <= 0:
+    if not (tau0 > 0 and mu > 0 and mu_prime > 0 and beta > 0):
         raise ParameterError("tau0, mu, mu_prime, beta must be positive")
-    if K_norm < 0 or L_bar < 0:
+    if not (K_norm >= 0 and L_bar >= 0):
         raise ParameterError("K_norm and L_bar must be >= 0")
     terms = [tau0]
     if K_norm > 0:
@@ -107,7 +107,7 @@ def pgrpda_tau_update(tau_prev, dx, dKx, dgrad, mu, mu_prime, beta):
     where a vanishing denominator removes its term and a vanishing dx
     keeps the previous stepsize.
     """
-    if tau_prev <= 0:
+    if not tau_prev > 0:
         raise ParameterError("tau_prev must be positive")
     return _pgrpda_tau(tau_prev, _norm(dx), _norm(dKx), _norm(dgrad), mu, mu_prime, beta)
 
@@ -142,7 +142,7 @@ def aegrpda_tau_update(tau_prev, theta_prev, L_n, K_norm, beta, psi, rho, tau_ma
     undefined (L_n is None) or its denominator vanishes (the 1/0 = infinity
     convention of eta_bound). Returns (tau, theta) with theta = psi tau / tau_prev.
     """
-    if tau_prev <= 0 or theta_prev <= 0:
+    if not (tau_prev > 0 and theta_prev > 0):
         raise ParameterError("tau_prev and theta_prev must be positive")
     candidates = [rho * tau_prev, tau_max]
     if L_n is not None:

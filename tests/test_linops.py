@@ -380,8 +380,10 @@ def test_operator_norm_is_kept_per_seed(rng):
 def test_a_shallow_copy_shares_the_kept_norm(rng):
     op = _CountingDense(rng.standard_normal((9, 7)))
     first = operator_norm(op, seed=2)
+    direct = estimate_operator_norm(op, tol=1e-9, seed=3)
     twin = copy.copy(op)
     assert operator_norm(twin, seed=2) == first
+    assert estimate_operator_norm(twin, tol=1e-9, seed=3) == direct
     assert twin.products == op.products
 
 
@@ -392,6 +394,60 @@ def test_a_duck_typed_operator_is_normed_on_every_call(rng):
     products = op.products
     assert operator_norm(op, seed=3) == first == estimate_operator_norm(DenseOperator(A), seed=3)
     assert op.products == 2 * products
+    assert estimate_operator_norm(op, seed=3).hex() == first.hex()
+    assert op.products == 3 * products
+
+
+def test_a_repeat_estimate_makes_no_product(rng):
+    op = _CountingDense(rng.standard_normal((9, 7)))
+    first = estimate_operator_norm(op, tol=1e-10, max_iter=300, seed=6)
+    products = op.products
+    assert products > 0
+    again = estimate_operator_norm(op, tol=1e-10, max_iter=300, seed=6)
+    assert again.hex() == first.hex()
+    assert op.products == products
+
+
+def test_operator_norm_reads_a_direct_estimate(rng):
+    op = _CountingDense(rng.standard_normal((9, 7)))
+    first = estimate_operator_norm(op, seed=8)
+    products = op.products
+    assert operator_norm(op, seed=8) == first
+    assert op.products == products
+
+
+@pytest.mark.parametrize(
+    "other", [{"seed": 2}, {"tol": 1e-12}, {"max_iter": 7}], ids=["seed", "tol", "max_iter"]
+)
+def test_another_seed_tol_or_budget_runs_a_new_iteration(rng, other):
+    A = rng.standard_normal((9, 7))
+    op = _CountingDense(A)
+    estimate_operator_norm(op, seed=1)
+    products = op.products
+    value = estimate_operator_norm(op, **{"seed": 1, **other})
+    assert op.products > products
+    assert value.hex() == estimate_operator_norm(DenseOperator(A), **{"seed": 1, **other}).hex()
+
+
+@pytest.mark.parametrize("seed", [None, [1, 2]], ids=["fresh-entropy", "unhashable"])
+def test_a_seed_that_is_not_an_integer_is_not_kept(rng, seed):
+    op = _CountingDense(rng.standard_normal((9, 7)))
+    estimate_operator_norm(op, seed=seed)
+    products = op.products
+    estimate_operator_norm(op, seed=seed)
+    assert op.products > products
+    assert op._norms == {}
+
+
+def test_bad_budgets_raise_after_a_kept_estimate():
+    op = DenseOperator(np.diag([3.0, 1.0]))
+    estimate_operator_norm(op, seed=0)
+    for bad in ({"tol": 0.0}, {"tol": math.nan}, {"max_iter": 0}):
+        args = {"seed": 0, "tol": 1e-8, "max_iter": 5000, **bad}
+        # an entry under the bad key itself: the checks come before the lookup
+        op._norms[tuple(args.values())] = 3.0
+        with pytest.raises(ParameterError):
+            estimate_operator_norm(op, **args)
 
 
 def test_norm_identity():

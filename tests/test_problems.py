@@ -266,6 +266,14 @@ def test_cg_rejects_nonsymmetric(rng):
         conjugate_gradient_solve(op, rng.standard_normal(6))
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-8])
+def test_cg_rejects_a_tol_that_is_not_positive(tol):
+    # a NaN tol used to run until the residual vanished, then divide by zero
+    op = DenseOperator(np.diag(np.linspace(1, 100, 30)))
+    with pytest.raises(ParameterError):
+        conjugate_gradient_solve(op, np.ones(30), tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # graphnet
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldsplit import linops, solvers
-from goldsplit.errors import ConfigError, NumericAbort, StepsizeWarning
+from goldsplit.errors import ConfigError, NumericAbort, ParameterError, StepsizeWarning
 from goldsplit.linops import (
     DenseOperator,
     DiscreteGradient2D,
@@ -239,6 +239,17 @@ def test_eta_bound_beta_scaling():
     )
 
 
+def test_eta_bound_rejects_nan():
+    # a NaN norm and smoothness constant used to drop both terms and return tau0
+    with pytest.raises(ParameterError):
+        eta_bound(1.0, 0.5, 0.2, 0.2, math.nan, math.nan)
+    for slot in range(6):
+        args = [1.0, 0.5, 0.2, 0.2, 2.0, 3.0]
+        args[slot] = math.nan
+        with pytest.raises(ParameterError):
+            eta_bound(*args)
+
+
 def test_pgrpda_tau_update_formula():
     dx = np.array([1.0, 0.0])
     dK = np.array([0.0, 2.0])
@@ -252,6 +263,16 @@ def test_pgrpda_tau_update_conventions():
     dx = np.array([0.5, 0.0, 0.0])
     assert pgrpda_tau_update(2.5, zero, zero, zero, 0.7, 0.3, 0.2) == 2.5
     assert pgrpda_tau_update(2.5, dx, zero, zero, 0.7, 0.3, 0.2) == 2.5
+
+
+def test_tau_updates_reject_a_nan_previous_step():
+    dx = np.array([0.5, 0.0, 0.0])
+    for tau_prev in (math.nan, 0.0, -1.0):
+        with pytest.raises(ParameterError):
+            pgrpda_tau_update(tau_prev, dx, dx, dx, 0.7, 0.3, 0.2)
+    for tau_prev, theta_prev in ((math.nan, 0.9), (2.0, math.nan), (0.0, 0.9), (2.0, -0.9)):
+        with pytest.raises(ParameterError):
+            aegrpda_tau_update(tau_prev, theta_prev, 1.0, 5.0, 1.0, 1.5, 1.1, 1e7)
 
 
 def test_local_lipschitz():
@@ -736,24 +757,36 @@ def test_duck_typed_operator_norm_uses_seeded_power_iteration(rng):
     assert summary.k_norm == estimate_operator_norm(dense, seed=3)
 
 
-def test_smooth_bound_and_run_share_one_power_iteration(monkeypatch, rng):
-    estimates = []
-    estimate = linops.estimate_operator_norm
+class _CountingDense(DenseOperator):
+    """A dense operator that counts its forward products."""
 
-    def counting(op, **kwargs):
-        estimates.append(kwargs)
-        return estimate(op, **kwargs)
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.products = 0
 
-    monkeypatch.setattr(linops, "estimate_operator_norm", counting)
-    A = DenseOperator(rng.standard_normal((12, 8)))
-    h = LeastSquares(A, rng.standard_normal(12))
-    L = h.lipschitz()
-    problem = ProblemInstance(
-        f=L1Prox(0.1), g=SquaredL2Prox(1.0, rng.standard_normal(12)), K=A, h=h,
-    )
+    def matvec(self, x, out=None):
+        self.products += 1
+        return super().matvec(x, out)
+
+
+def test_smooth_bound_and_run_share_one_power_iteration(rng):
+    matrix, b = rng.standard_normal((12, 8)), rng.standard_normal(12)
+
+    def lasso(K):
+        return ProblemInstance(
+            f=L1Prox(0.1), g=SquaredL2Prox(1.0, b), K=K, h=LeastSquares(K, b),
+        )
+
+    problem = lasso(_CountingDense(matrix))
+    L = problem.h.lipschitz()
+    one_estimate = problem.K.products
+    assert one_estimate > 0
     _, _, summary = run_solver(problem, SolverConfig("aegrpda", max_iters=5))
-    assert estimates == [{"seed": 0}]
     assert summary.k_norm**2 == L
+    # the run makes the products of a run given ||K||: no second power iteration
+    given = lasso(_CountingDense(matrix))
+    run_solver(given, SolverConfig("aegrpda", max_iters=5, K_norm=summary.k_norm))
+    assert problem.K.products == one_estimate + given.K.products
 
 
 def test_numeric_abort_names_solver_and_iteration():

@@ -32,7 +32,9 @@ every kind, not only the dense ``k_norm`` of the run summaries:
     norms sha256=<sha256>
 
 It hashes ``estimate_operator_norm(op, tol, seed).hex()`` for each
-operator of ``_NORMS``, tolerances 1e-8 and 1e-13 and seeds 0 and 1.
+operator of ``_NORMS``, tolerances 1e-8 and 1e-13 and seeds 0 and 1, each
+estimated twice on the same object, so the estimate an operator keeps and
+returns on a repeat call is fingerprinted too.
 
 The last line fingerprints the acceptance battery's cheap suites:
 
@@ -107,7 +109,8 @@ SETTINGS = {
     "lasso-fstar-ref": ("lasso_ref", ["--y0", "neg-b", "--fstar-ref-iters", "300", *_STEPS]),
 }
 
-# Prints the power-iteration estimate of each operator kind, in hex, one per line.
+# Prints the power-iteration estimate of each operator kind, in hex, one per
+# line, and again from a repeat call on the same object.
 _NORMS = (
     "import numpy as np\n"
     "from goldsplit.linops import (DenseOperator, DiscreteGradient2D, FirstDifference,\n"
@@ -125,7 +128,8 @@ _NORMS = (
     "for op in ops:\n"
     "    for tol in (1e-8, 1e-13):\n"
     "        for seed in (0, 1):\n"
-    "            print(estimate_operator_norm(op, tol=tol, seed=seed).hex())\n"
+    "            for _ in range(2):\n"
+    "                print(estimate_operator_norm(op, tol=tol, seed=seed).hex())\n"
 )
 
 # the acceptance suites of the verify line (about 4 s on a 2-core host)
