@@ -82,18 +82,20 @@ from .prox import (
 )
 from .solvers import (
     ALGORITHM_NAMES,
-    GOLDEN,
     RunSummary,
     SolverConfig,
     SolverState,
-    aegrpda_tau_update,
     config_violations,
+    run_solver,
+    validate_config,
+)
+from .stepsizes import (
+    GOLDEN,
+    aegrpda_tau_update,
     eta_bound,
     local_lipschitz,
     pgrpda_mu_bound,
     pgrpda_tau_update,
-    run_solver,
-    validate_config,
 )
 
 __version__ = "0.1.0"

@@ -44,15 +44,8 @@ from .prox import (
     ZeroProx,
     moreau_conjugate_prox,
 )
-from .solvers import (
-    GOLDEN,
-    SolverConfig,
-    aegrpda_tau_update,
-    config_violations,
-    eta_bound,
-    pgrpda_tau_update,
-    run_solver,
-)
+from .solvers import SolverConfig, config_violations, run_solver
+from .stepsizes import GOLDEN, aegrpda_tau_update, eta_bound, pgrpda_tau_update
 
 
 @dataclass

@@ -9,6 +9,14 @@ into two vectors it allocates once per call, so its power iteration
 allocates nothing per step, and keeps each estimate on the operator per
 seed, tolerance and budget, where ``operator_norm`` and repeat calls read it.
 
+A run asks each operator once, through the private hook ``_bound``, for
+its own ``matvec`` and ``rmatvec``. ``DenseOperator`` returns
+``matrix.dot`` and its transpose's, which is the branch its methods take
+on a run's contiguous float64 vectors; every other operator returns None,
+and the run calls the method. So does a run whose operator shadows the
+method on the instance or whose subclass overrides it (see
+``solvers._oracle_call``).
+
 scipy.sparse is imported only by the operators that store a sparse
 matrix (``CsrOperator``, ``csr_from_triplets``, ``GridIncidence``), when
 they are built, so dense and matrix-free use never loads scipy.
@@ -87,6 +95,16 @@ class LinearOperator:
         """The spectral norm ||K|| in closed form, or None when there is none."""
         return None
 
+    def _bound(self, name):
+        """A run's own call of application ``name``, or None for the method itself.
+
+        The call takes ``(x, out)``, both float64 vectors of the right
+        lengths and C-contiguous. ``solvers`` asks for it once per run, and
+        only when ``name`` is the method of the class that defines this
+        hook, neither shadowed on the instance nor overridden by a subclass.
+        """
+        return None
+
     def _check_domain(self, x):
         if x.shape != self._domain_shape:
             raise DimensionError(
@@ -146,6 +164,14 @@ class DenseOperator(LinearOperator):
             return self._matrix_t.dot(y, out)
         except ValueError:
             return np.matmul(self._matrix_t, y, out)
+
+    def _bound(self, name):
+        # a run's vectors take the branch of the methods that calls dot
+        if name == "matvec":
+            return self.matrix.dot
+        if name == "rmatvec":
+            return self._matrix_t.dot
+        return None
 
 
 class CsrOperator(LinearOperator):

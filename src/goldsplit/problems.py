@@ -7,7 +7,9 @@ numpy's default PCG64 generator seeded with the 64-bit ``seed`` argument.
 Manifest layout: ``manifest.json`` records the generation spec, seed,
 dimensions, regularization weights and the provenance of any stored
 reference optimum; array payloads live in flat little-endian binary
-sidecars (float64, row-major; CSR index payloads are int64).
+sidecars (row-major). Each family's record states every payload's shape, in
+terms of its dimensions, and its dtype (float64 for every family today);
+the loader checks both against the manifest before it reads a payload.
 """
 
 from __future__ import annotations
@@ -71,13 +73,29 @@ class ProblemInstance:
 
 
 @dataclass(frozen=True)
+class Payload:
+    """An array that a manifest records: its shape and its one allowed dtype.
+
+    ``shape`` names one dimension per axis; ``"rows*cols"`` multiplies two.
+    """
+
+    shape: tuple
+    dtype: str
+
+    def shape_in(self, dims):
+        """The shape that the dimensions ``dims`` give, as a list."""
+        return [math.prod(dims[name] for name in axis.split("*")) for axis in self.shape]
+
+
+@dataclass(frozen=True)
 class Family:
     """One generable benchmark family, as the library and the CLI see it.
 
     ``generate(seed=..., **params)`` draws an instance. ``params`` maps each
     generator parameter to its flag type (``int``, ``float`` or a tuple of
     choices), and ``required`` names the ones without a default. ``dims``
-    and ``payloads`` name the dimensions and arrays that a manifest records.
+    names the dimensions that a manifest records, and ``payloads`` maps the
+    name of each array it records to its ``Payload``.
     ``build(meta, dims)`` returns the oracles ``(f, g, K, h)`` from the
     scalars and arrays in ``meta``; the generator and the manifest loader
     both finish through it.
@@ -87,7 +105,7 @@ class Family:
     params: dict
     required: tuple
     dims: tuple
-    payloads: tuple
+    payloads: dict
     build: Callable
 
 
@@ -475,7 +493,8 @@ FAMILIES = {
         params={"m": int, "n": int, "s": int, "scheme": _LASSO_SCHEMES, "q": float,
                 "lam": float, "noise_sd": float},
         required=("m", "n", "s"), dims=("m", "n", "s"),
-        payloads=("K", "b", "x_true"),
+        payloads={"K": Payload(("m", "n"), "float64"), "b": Payload(("m",), "float64"),
+                  "x_true": Payload(("n",), "float64")},
         build=lambda p, d: (L1Prox(p["lam"]), SquaredL2Prox(1.0, p["b"]),
                             DenseOperator(p["K"]), ZeroSmooth()),
     ),
@@ -483,7 +502,8 @@ FAMILIES = {
         generate=gen_fused_lasso,
         params={"m": int, "n": int, "lam1": float, "lam2": float, "noise_sd": float},
         required=("m", "n"), dims=("m", "n"),
-        payloads=("A", "b", "x_true"),
+        payloads={"A": Payload(("m", "n"), "float64"), "b": Payload(("m",), "float64"),
+                  "x_true": Payload(("n",), "float64")},
         build=lambda p, d: (L1Prox(p["lam1"]), L1Prox(p["lam2"]),
                             FirstDifference(d["n"]), LeastSquares(p["A"], p["b"])),
     ),
@@ -492,7 +512,8 @@ FAMILIES = {
         params={"n1": int, "n2": int, "m": int, "alpha": float, "sparsity_fraction": float,
                 "lam1": float, "lam2": float, "noise_sd": float},
         required=("n1", "n2", "m"), dims=("n1", "n2", "m", "n"),
-        payloads=("A", "b", "x_true"),
+        payloads={"A": Payload(("m", "n"), "float64"), "b": Payload(("m",), "float64"),
+                  "x_true": Payload(("n",), "float64")},
         build=lambda p, d: (L1Prox(p["lam1"]), SquaredL2Prox(weight=p["lam2"]),
                             GridIncidence(d["n1"], d["n2"]),
                             LeastSquares(p["A"], p["b"], scale=1.0 / d["m"])),
@@ -501,7 +522,8 @@ FAMILIES = {
         generate=_gen_inpainting,
         params={"rows": int, "cols": int, "missing_fraction": float, "lam": float},
         required=(), dims=("rows", "cols"),
-        payloads=("x_true", "mask", "damaged"),
+        payloads={key: Payload(("rows*cols",), "float64")
+                  for key in ("x_true", "mask", "damaged")},
         build=lambda p, d: (ZeroProx(), GroupL21Prox(p["lam"], d["rows"] * d["cols"]),
                             DiscreteGradient2D(d["rows"], d["cols"]),
                             MaskedLeastSquares(p["mask"], p["damaged"])),
@@ -510,7 +532,8 @@ FAMILIES = {
         generate=gen_strongly_convex,
         params={"m": int, "n": int, "ridge": float, "lam": float, "noise_sd": float},
         required=("m", "n"), dims=("m", "n"),
-        payloads=("A", "b", "b_dual", "K"),
+        payloads={"A": Payload(("m", "n"), "float64"), "b": Payload(("m",), "float64"),
+                  "b_dual": Payload(("n",), "float64"), "K": Payload(("n", "n"), "float64")},
         build=lambda p, d: (L1Prox(p["lam"]), SquaredL2Prox(1.0, p["b_dual"]),
                             DenseOperator(p["K"]),
                             QuadraticRidge(p["A"], p["b"], p["ridge"])),
@@ -579,23 +602,28 @@ def write_json(path, obj):
         raise
 
 
-# payload dtype name -> its little-endian on-disk layout
-_PAYLOAD_DTYPES = {"float64": "<f8", "int64": "<i8"}
+# payload dtype name -> its little-endian on-disk layout, for each dtype a
+# family's Payload states
+_PAYLOAD_DTYPES = {"float64": "<f8"}
 
 
-def _write_payload(directory, stem, array):
+def _write_payload(directory, stem, array, dtype):
     array = np.asarray(array)
-    dtype = "int64" if array.dtype.kind == "i" else "float64"
     array.astype(_PAYLOAD_DTYPES[dtype]).tofile(directory / f"{stem}.bin")
     return {"file": f"{stem}.bin", "dtype": dtype, "shape": list(array.shape)}
 
 
-def _read_payload(directory, entry, where):
+def _read_payload(directory, entry, where, payload, dims):
+    """The array of a manifest's payload ``entry``, checked against its family's ``payload``."""
     fname = _field(entry, "file", str, where)
-    dtype = _field(entry, "dtype", tuple(_PAYLOAD_DTYPES), where)
+    dtype = _field(entry, "dtype", (payload.dtype,), where)
     shape = _field(entry, "shape", list, where)
     if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
         raise DataError(f"{where}: 'shape' must list non-negative integers, got {shape}")
+    expected = payload.shape_in(dims)
+    if shape != expected:
+        raise DataError(f"{where}: shape {shape} is not the {expected} that its dims "
+                        f"({', '.join(payload.shape)}) give")
     arr = np.fromfile(directory / fname, dtype=_PAYLOAD_DTYPES[dtype])
     if arr.size != math.prod(shape):
         raise DataError(
@@ -611,8 +639,8 @@ def save_instance(directory, problem, spec):
     directory.mkdir(parents=True, exist_ok=True)
     sources = {"x_true": problem.x_true, **problem.meta}
     payloads = {
-        key: _write_payload(directory, key, sources[key])
-        for key in _family(spec.family).payloads
+        key: _write_payload(directory, key, sources[key], payload.dtype)
+        for key, payload in _family(spec.family).payloads.items()
     }
     # record every effective scalar (weights, noise scales, ...) even when
     # the caller relied on generator defaults; explicit spec values win
@@ -639,7 +667,9 @@ def load_instance(manifest_path):
     """Rebuild a ProblemInstance from a manifest and its payload sidecars.
 
     The manifest must carry every parameter, dimension and payload that its
-    family's record names; a missing or ill-typed one is a DataError.
+    family's record names; a missing or ill-typed one, or a payload whose
+    dtype or shape is not the one its family states for the manifest's
+    dims, is a DataError.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -661,8 +691,8 @@ def load_instance(manifest_path):
     arrays = {
         key: _read_payload(manifest_path.parent,
                            _field(entries, key, dict, f"{where} payloads"),
-                           f"{where} payload {key!r}")
-        for key in family.payloads
+                           f"{where} payload {key!r}", payload, dims)
+        for key, payload in family.payloads.items()
     }
     F_star = provenance = None
     if manifest.get("F_star") is not None:

@@ -17,6 +17,17 @@ numpy broadcasts (an integer group-l21 field gives a floating result).
 A subclass that overrides ``prox`` or ``grad`` keeps the positional
 ``out``: a run passes it.
 
+A run asks each prox oracle once, through the private hook
+``_bound("prox")``, for a call of its own. ``L1Prox`` and ``SquaredL2Prox``
+return a closure that owns its 0-d float64 scalars, rewrites them in place
+on each call (a ufunc takes a 0-d array faster than a Python float, with
+the same bytes on float64 input), checks the step inline and runs the same
+ufunc sequence as ``prox_l1`` or ``prox_sq_l2`` with ``out``: both go
+through one helper, and only the source of the scalars differs. Every
+other oracle returns None, and the run calls its method. So does a run
+whose oracle shadows ``prox`` on the instance or whose subclass overrides
+it (see ``solvers._oracle_call``).
+
 scipy is imported only inside ``Logistic.grad``, for
 ``scipy.special.expit``, so the other oracles never load it.
 """
@@ -35,16 +46,49 @@ def _check_step(t, lam=0.0):
         raise ParameterError("prox step and regularization weight must be >= 0")
 
 
+# the 0-d zero of every run's bound l1 prox; read-only, so runs share no state
+_ZERO = np.zeros(())
+_ZERO.flags.writeable = False
+
+
+def _soft_threshold(v, threshold, zero, out):
+    """sign(v) * max(|v| - threshold, zero), written into ``out``.
+
+    The one ufunc sequence of the l1 prox with ``out``: ``prox_l1`` passes
+    Python floats, a run's bound prox (``L1Prox._bound``) its own 0-d
+    float64 arrays, which give the same bytes on float64 input.
+    """
+    sign = np.sign(v)
+    np.abs(v, out)
+    np.subtract(out, threshold, out)
+    np.maximum(out, zero, out=out)
+    return np.multiply(sign, out, out)
+
+
 def prox_l1(v, t, lam, out=None):
     """Soft thresholding: sign(v_i) * max(|v_i| - t*lam, 0)."""
     _check_step(t, lam)
     if out is None:
         return np.sign(v) * np.maximum(np.abs(v) - t * lam, 0.0)
-    sign = np.sign(v)
-    np.abs(v, out)
-    np.subtract(out, t * lam, out)
-    np.maximum(out, 0.0, out=out)
-    return np.multiply(sign, out, out)
+    return _soft_threshold(v, t * lam, 0.0, out)
+
+
+def _shrink_to(v, tw, denom, b, out):
+    """(v + tw * b) / denom, or v / denom when b is None, written into ``out``.
+
+    The one ufunc sequence of the squared-l2 prox with ``out``, with
+    tw = t*weight and denom = 1 + t*weight: ``prox_sq_l2`` passes Python
+    floats, a run's bound prox (``SquaredL2Prox._bound``) its own 0-d
+    float64 arrays.
+    """
+    if b is None:
+        return np.divide(v, denom, out)
+    if out is v:
+        np.add(v, np.multiply(tw, b), out)
+    else:
+        np.multiply(tw, b, out)
+        np.add(v, out, out)
+    return np.divide(out, denom, out)
 
 
 def prox_sq_l2(v, t, weight=1.0, b=None, out=None):
@@ -56,14 +100,7 @@ def prox_sq_l2(v, t, weight=1.0, b=None, out=None):
         if b is None:
             return v / (1.0 + t * weight)
         return (v + t * weight * b) / (1.0 + t * weight)
-    if b is None:
-        return np.divide(v, 1.0 + t * weight, out)
-    if out is v:
-        np.add(v, t * weight * b, out)
-    else:
-        np.multiply(t * weight, b, out)
-        np.add(v, out, out)
-    return np.divide(out, 1.0 + t * weight, out)
+    return _shrink_to(v, t * weight, 1.0 + t * weight, b, out)
 
 
 # sqrt(a*a + b*b) is within two ulp of np.hypot and several times faster,
@@ -149,6 +186,17 @@ class ProxOracle:
     def prox(self, v, t, out=None):
         raise NotImplementedError
 
+    def _bound(self, name):
+        """A run's own call of method ``name``, or None for the method itself.
+
+        The call takes the method's positional arguments with ``out``
+        given, its arrays all float64 and C-contiguous. ``solvers`` asks
+        for it once per run, and only when ``name`` is the method of the
+        class that defines this hook, neither shadowed on the instance nor
+        overridden by a subclass.
+        """
+        return None
+
 
 class ZeroProx(ProxOracle):
     """The zero function; its prox is the identity for every step."""
@@ -174,6 +222,23 @@ class L1Prox(ProxOracle):
 
     def prox(self, v, t, out=None):
         return prox_l1(v, t, self.lam, out)
+
+    def _bound(self, name):
+        if name != "prox":
+            return None
+        lam, soft_threshold, zero = self.lam, _soft_threshold, _ZERO
+        _check_step(0.0, lam)  # the weight once per run, the step on each call
+        # the run's scalar: a 0-d array rewritten in place on each call,
+        # which a ufunc takes faster than a Python float
+        threshold = np.empty(())
+
+        def prox(v, t, out):
+            if not t >= 0:
+                raise ParameterError("prox step and regularization weight must be >= 0")
+            threshold[()] = t * lam
+            return soft_threshold(v, threshold, zero, out)
+
+        return prox
 
 
 class GroupL21Prox(ProxOracle):
@@ -215,6 +280,23 @@ class SquaredL2Prox(ProxOracle):
 
     def prox(self, v, t, out=None):
         return prox_sq_l2(v, t, self.weight, self.offset, out)
+
+    def _bound(self, name):
+        if name != "prox":
+            return None
+        weight, offset, shrink_to = self.weight, self.offset, _shrink_to
+        if not weight > 0:  # the weight once per run, the step on each call
+            raise ParameterError("weight must be positive")
+        tw, denom = np.empty(()), np.empty(())  # the run's scalars, as in L1Prox
+
+        def prox(v, t, out):
+            if not t >= 0:
+                raise ParameterError("prox step and regularization weight must be >= 0")
+            tw[()] = step = t * weight
+            denom[()] = 1.0 + step
+            return shrink_to(v, tw, denom, offset, out)
+
+        return prox
 
 
 def moreau_conjugate_prox(g, v, sigma):

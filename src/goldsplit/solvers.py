@@ -31,6 +31,17 @@ buffer the kernel writes into from one float64 block, each view starting
 on a 64-byte cache line, and the kernel writes through ``out`` from then
 on. An oracle that is no ``LinearOperator``, ``ProxOracle`` or
 ``SmoothOracle`` is called without ``out`` and its result copied.
+
+A run binds each oracle call once (``_oracle_call``): where the oracle's
+class offers a run-bound call through its private ``_bound`` hook
+(``DenseOperator``'s products are ``ndarray.dot``; ``L1Prox`` and
+``SquaredL2Prox`` give a closure with run-owned 0-d scalars), the kernel
+keeps that call, with no Python frame for K and one per prox. A method
+shadowed on the instance (perfbench's tracer, a test's recorder) or
+overridden by a subclass is called as it is, and so is every method of the
+other oracles; the iterates are the same bytes either way. The kernels
+also keep numpy's ufuncs and ``math.sqrt``/``math.isfinite`` as closure
+locals, so an iteration looks none of them up.
 """
 
 from __future__ import annotations
@@ -55,8 +66,7 @@ from .errors import (
 from .linops import LinearOperator, operator_norm, vector_norm as _norm
 from .metrics import IterationTrace, constraint_violation, objective, psnr
 from .prox import ProxOracle, SmoothOracle, ZeroSmooth
-from .stepsizes import (  # noqa: F401  (GOLDEN and the public rules are re-exported)
-    GOLDEN,
+from .stepsizes import (
     _check_golden_psi,
     _check_growth,
     _check_pgrpda,
@@ -67,10 +77,6 @@ from .stepsizes import (  # noqa: F401  (GOLDEN and the public rules are re-expo
     _pdhg_region,
     _pgrpda_tau,
     aegrpda_tau_update,
-    eta_bound,
-    local_lipschitz,
-    pgrpda_mu_bound,
-    pgrpda_tau_update,
 )
 
 # Steps below this relative size are float64 rounding noise; difference
@@ -221,10 +227,27 @@ class SolverState:
         return self.w_sum / max(self.n_avg, 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _hook_owns(cls, name):
+    """Whether ``cls.name`` is the method of the class that defines ``cls._bound``."""
+    owner = next((c for c in cls.__mro__ if "_bound" in vars(c)), None)
+    return owner is not None and getattr(cls, name) is vars(owner).get(name)
+
+
 def _oracle_call(oracle, base, name):
-    """``oracle.name`` for an instance of ``base``, else a wrapper that copies into ``out``."""
+    """The run's call of ``oracle.name``, which takes ``out`` last, fills it and returns it.
+
+    For an instance of ``base`` this is the call the oracle's ``_bound``
+    hook makes for the run when ``name`` is the method of the class that
+    defines the hook, else the method itself: a method shadowed on the
+    instance (a tracer's or a test's wrapper) or overridden by a subclass
+    is always called. Any other object's method is wrapped so that its
+    result is copied into ``out``.
+    """
     method = getattr(oracle, name)
     if isinstance(oracle, base):
+        if _hook_owns(type(oracle), name) and name not in vars(oracle):
+            return oracle._bound(name) or method
         return method
 
     def write(*args):
@@ -283,10 +306,11 @@ def _start(problem, config, x0=None, y0=None):
     the views' base, the array numpy allocated, is 7 entries longer still.
 
     The scheme's builder gets, as keyword arguments, the views that are not
-    the state's and the oracle calls ``matvec``, ``rmatvec``, ``f_prox``,
-    ``g_prox`` and ``h_grad``, which take ``out`` last, fill it and return
-    it (see ``_oracle_call``); its kernel keeps them. A step writes each new quantity into its spare view and,
-    once nothing can raise, swaps it in; the view it replaces becomes the
+    the state's, every one C-contiguous float64, and the oracle calls
+    ``matvec``, ``rmatvec``, ``f_prox``, ``g_prox`` and ``h_grad``, which
+    take ``out`` last, fill it and return it (see ``_oracle_call``); its
+    kernel keeps them. A step writes each new quantity into its spare view
+    and, once nothing can raise, swaps it in; the view it replaces becomes the
     spare (x and aGRAAL's y keep their previous value too, so they rotate
     through three views). Only w is written in place, after the last check
     that can abort the step, so a step that raises part-way leaves the
@@ -359,6 +383,9 @@ def _golden_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g
     local Lipschitz estimate and ||K||, and ``fixed`` (egrpda, grpda) keeps
     the configured stepsizes.
     """
+    # the ufuncs and math functions as closure locals, looked up once per run
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    sqrt, isfinite = math.sqrt, math.isfinite
     sn, sm, w, x_sum, w_sum = scratch_n, scratch_m, state.w, state.x_sum, state.w_sum
     smooth, name = scheme.smooth, config.algorithm
     nonincreasing, adaptive = scheme.rule == "nonincreasing", scheme.rule == "adaptive"
@@ -375,27 +402,27 @@ def _golden_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g
         x, y, Kx, grad_x, tau = state.x, state.y, state.Kx, state.grad_x, state.tau
         z, x_new, Kx_new, grad_new = z_spare, x_spare, Kx_spare, grad_spare
         tau_op[()] = tau
-        np.divide(np.add(np.multiply(psi_1_op, x, z), state.z, z), psi_op, z)
-        np.subtract(z, np.multiply(tau_op, rmatvec(y, sn), sn), sn)
+        divide(add(multiply(psi_1_op, x, z), state.z, z), psi_op, z)
+        subtract(z, multiply(tau_op, rmatvec(y, sn), sn), sn)
         if smooth:  # x_new is free until the prox
-            np.subtract(sn, np.multiply(tau_op, grad_x, x_new), sn)
+            subtract(sn, multiply(tau_op, grad_x, x_new), sn)
         f_prox(sn, tau, x_new)
         matvec(x_new, Kx_new)
         if smooth:
             h_grad(x_new, grad_new)
-        ndx = math.sqrt(np.subtract(x_new, x, sn).dot(sn))
+        ndx = sqrt(subtract(x_new, x, sn).dot(sn))
         # below the noise floor the ratios of the rules are undefined
         if nonincreasing:
             tau_new, L = tau, state.L_local
-            if not ndx <= _STEP_NOISE_FLOOR * (1.0 + math.sqrt(x_new.dot(x_new))):
-                ndK = math.sqrt(np.subtract(Kx_new, Kx, sm).dot(sm))
-                ndg = math.sqrt(np.subtract(grad_new, grad_x, sn).dot(sn)) if smooth else 0.0
+            if not ndx <= _STEP_NOISE_FLOOR * (1.0 + sqrt(x_new.dot(x_new))):
+                ndK = sqrt(subtract(Kx_new, Kx, sm).dot(sm))
+                ndg = sqrt(subtract(grad_new, grad_x, sn).dot(sn)) if smooth else 0.0
                 tau_new = _pgrpda_tau(tau, ndx, ndK, ndg, mu, mu_prime, beta)
             sigma, theta = beta * tau_new, tau_new / tau
         elif adaptive:
             L = None
-            if not ndx <= _STEP_NOISE_FLOOR * (1.0 + math.sqrt(x_new.dot(x_new))):
-                ndg = math.sqrt(np.subtract(grad_new, grad_x, sn).dot(sn)) if smooth else 0.0
+            if not ndx <= _STEP_NOISE_FLOOR * (1.0 + sqrt(x_new.dot(x_new))):
+                ndg = sqrt(subtract(grad_new, grad_x, sn).dot(sn)) if smooth else 0.0
                 L = ndg / ndx
             tau_new, theta = aegrpda_tau_update(tau, state.theta, L, K_norm, beta, psi, rho,
                                                 tau_max)
@@ -405,9 +432,9 @@ def _golden_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g
         if not sigma > 0.0:
             raise NumericAbort(name, n, "stepsize reached 0")
         sigma_op[()] = sigma
-        y_new = np.add(np.divide(y, sigma_op, y_spare), Kx_new, y_spare)
+        y_new = add(divide(y, sigma_op, y_spare), Kx_new, y_spare)
         g_prox(y_new, 1.0 / sigma, w)
-        np.add(y, np.multiply(sigma_op, np.subtract(Kx_new, w, y_new), y_new), y_new)
+        add(y, multiply(sigma_op, subtract(Kx_new, w, y_new), y_new), y_new)
         x_spare, state.x_prev, state.x = state.x_prev, x, x_new
         y_spare, state.y = y, y_new
         Kx_spare, state.Kx = Kx, Kx_new
@@ -416,13 +443,13 @@ def _golden_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g
         z_spare, state.z = state.z, z
         state.tau, state.sigma, state.L_local, state.dx_norm = tau_new, sigma, L, ndx
         state.theta_prev, state.theta = state.theta, theta
-        if not (math.isfinite(tau_new) and math.isfinite(ndx)
-                and math.isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
+        if not (isfinite(tau_new) and isfinite(ndx)
+                and isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
             raise NumericAbort(name, n)
         state.n_avg += 1
-        np.add(x_sum, x_new, x_sum)
-        np.add(w_sum, w, w_sum)
-        return math.sqrt(np.subtract(x_new, z, sn).dot(sn))
+        add(x_sum, x_new, x_sum)
+        add(w_sum, w, w_sum)
+        return sqrt(subtract(x_new, z, sn).dot(sn))
 
     return step
 
@@ -436,6 +463,9 @@ def _condat_vu_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox
     so the early-exit quantity ||x - z|| is the plain step norm. With h = 0
     this is the classical pdhg, which shares the kernel.
     """
+    # closure locals, as in _golden_kernel
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    sqrt, isfinite = math.sqrt, math.isfinite
     sn, sm, w, x_sum, w_sum = scratch_n, scratch_m, state.w, state.x_sum, state.w_sum
     smooth, name, tau, sigma = scheme.smooth, config.algorithm, state.tau, state.sigma
     tau_op, sigma_op = np.array(tau), np.array(sigma)  # ufunc operands, as in _golden_kernel
@@ -445,18 +475,18 @@ def _condat_vu_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox
         state.n = n
         x, y, Kx, grad_x = state.x, state.y, state.Kx, state.grad_x
         x_new, Kx_new, grad_new = x_spare, Kx_spare, grad_spare
-        np.subtract(x, np.multiply(tau_op, rmatvec(y, sn), sn), sn)
+        subtract(x, multiply(tau_op, rmatvec(y, sn), sn), sn)
         if smooth:  # x_new is free until the prox
-            np.subtract(sn, np.multiply(tau_op, grad_x, x_new), sn)
+            subtract(sn, multiply(tau_op, grad_x, x_new), sn)
         f_prox(sn, tau, x_new)
         matvec(x_new, Kx_new)
-        np.subtract(np.add(Kx_new, Kx_new, sm), Kx, sm)  # 2 K x_new exactly, less K x
+        subtract(add(Kx_new, Kx_new, sm), Kx, sm)  # 2 K x_new exactly, less K x
         if not sigma > 0.0:
             raise NumericAbort(name, n, "stepsize reached 0")
-        y_new = np.add(np.divide(y, sigma_op, y_spare), sm, y_spare)
+        y_new = add(divide(y, sigma_op, y_spare), sm, y_spare)
         g_prox(y_new, 1.0 / sigma, w)
-        np.add(y, np.multiply(sigma_op, np.subtract(sm, w, y_new), y_new), y_new)
-        ndx = math.sqrt(np.subtract(x_new, x, sn).dot(sn))
+        add(y, multiply(sigma_op, subtract(sm, w, y_new), y_new), y_new)
+        ndx = sqrt(subtract(x_new, x, sn).dot(sn))
         if smooth:
             h_grad(x_new, grad_new)
             grad_spare, state.grad_x = grad_x, grad_new
@@ -464,12 +494,12 @@ def _condat_vu_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox
         y_spare, state.y = y, y_new
         Kx_spare, state.Kx = Kx, Kx_new
         state.z, state.dx_norm = x, ndx
-        if not (math.isfinite(tau) and math.isfinite(ndx)
-                and math.isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
+        if not (isfinite(tau) and isfinite(ndx)
+                and isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
             raise NumericAbort(name, n)
         state.n_avg += 1
-        np.add(x_sum, x_new, x_sum)
-        np.add(w_sum, w, w_sum)
+        add(x_sum, x_new, x_sum)
+        add(w_sum, w, w_sum)
         return ndx  # z is the previous x, so ||x - z|| has the operands of ndx
 
     return step
@@ -487,12 +517,15 @@ def _agraal_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g
     sets sigma to tau, the one stepsize, and the lagged dual iterate and
     vector field.
     """
+    # closure locals, as in _golden_kernel
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    negative, sqrt, isfinite = np.negative, math.sqrt, math.isfinite
     state.sigma = state.tau
     np.copyto(state.y_prev, state.y)
     np.copyto(state.y_bar, state.y)
     rmatvec(state.y, state.Fx_prev)
-    np.add(state.grad_x, state.Fx_prev, state.Fx_prev)
-    np.negative(state.Kx, state.Fy_prev)
+    add(state.grad_x, state.Fx_prev, state.Fx_prev)
+    negative(state.Kx, state.Fy_prev)
     sn, sm, w, x_sum, w_sum = scratch_n, scratch_m, state.w, state.x_sum, state.w_sum
     smooth, name = scheme.smooth, config.algorithm
     psi, rho, tau_max = config.psi, config.effective_rho, config.tau_max
@@ -504,26 +537,26 @@ def _agraal_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g
         x, y, Kx, grad_x, lam = state.x, state.y, state.Kx, state.grad_x, state.tau
         Fx, Fy, x_bar, y_bar = Fx_spare, Fy_spare, z_spare, y_bar_spare
         x_new, Kx_new, grad_new = x_spare, Kx_spare, grad_spare
-        np.add(grad_x, rmatvec(y, Fx), Fx)
-        np.negative(Kx, Fy)
+        add(grad_x, rmatvec(y, Fx), Fx)
+        negative(Kx, Fy)
         # ||x - x_prev|| is the last step's ||x_new - x||, from the same operands
-        du2 = state.dx_norm**2 + math.sqrt(np.subtract(y, state.y_prev, sm).dot(sm)) ** 2
-        dF2 = (math.sqrt(np.subtract(Fx, state.Fx_prev, sn).dot(sn)) ** 2
-               + math.sqrt(np.subtract(Fy, state.Fy_prev, sm).dot(sm)) ** 2)
+        du2 = state.dx_norm**2 + sqrt(subtract(y, state.y_prev, sm).dot(sm)) ** 2
+        dF2 = (sqrt(subtract(Fx, state.Fx_prev, sn).dot(sn)) ** 2
+               + sqrt(subtract(Fy, state.Fy_prev, sm).dot(sm)) ** 2)
         lam_new = min(rho * lam, tau_max)
-        scale = 1.0 + math.sqrt(x.dot(x)) + math.sqrt(y.dot(y))
-        if math.sqrt(du2) > _STEP_NOISE_FLOOR * scale and dF2 > 0.0:
+        scale = 1.0 + sqrt(x.dot(x)) + sqrt(y.dot(y))
+        if sqrt(du2) > _STEP_NOISE_FLOOR * scale and dF2 > 0.0:
             lam_new = min(lam_new, psi * state.theta / (4.0 * lam) * du2 / dF2)
         lam_op[()] = lam_new
-        np.divide(np.add(np.multiply(psi_1_op, x, x_bar), state.z, x_bar), psi_op, x_bar)
-        f_prox(np.subtract(x_bar, np.multiply(lam_op, Fx, sn), sn), lam_new, x_new)
-        np.divide(np.add(np.multiply(psi_1_op, y, y_bar), state.y_bar, y_bar), psi_op, y_bar)
+        divide(add(multiply(psi_1_op, x, x_bar), state.z, x_bar), psi_op, x_bar)
+        f_prox(subtract(x_bar, multiply(lam_op, Fx, sn), sn), lam_new, x_new)
+        divide(add(multiply(psi_1_op, y, y_bar), state.y_bar, y_bar), psi_op, y_bar)
         if not lam_new > 0.0:
             raise NumericAbort(name, n, "stepsize reached 0")
-        y_new = np.add(np.divide(y_bar, lam_op, y_spare), Kx, y_spare)
+        y_new = add(divide(y_bar, lam_op, y_spare), Kx, y_spare)
         g_prox(y_new, 1.0 / lam_new, w)
-        np.add(y_bar, np.multiply(lam_op, np.subtract(Kx, w, y_new), y_new), y_new)
-        ndx = math.sqrt(np.subtract(x_new, x, sn).dot(sn))
+        add(y_bar, multiply(lam_op, subtract(Kx, w, y_new), y_new), y_new)
+        ndx = sqrt(subtract(x_new, x, sn).dot(sn))
         matvec(x_new, Kx_new)
         if smooth:
             h_grad(x_new, grad_new)
@@ -538,13 +571,13 @@ def _agraal_kernel(state, problem, config, scheme, *, matvec, rmatvec, f_prox, g
         state.tau = state.sigma = lam_new
         state.dx_norm = ndx
         state.theta_prev, state.theta = state.theta, psi * lam_new / lam
-        if not (math.isfinite(lam_new) and math.isfinite(ndx)
-                and math.isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
+        if not (isfinite(lam_new) and isfinite(ndx)
+                and isfinite(y_new.dot(y_new)) or _finite_iterates(state)):
             raise NumericAbort(name, n)
         state.n_avg += 1
-        np.add(x_sum, x_new, x_sum)
-        np.add(w_sum, w, w_sum)
-        return math.sqrt(np.subtract(x_new, x_bar, sn).dot(sn))
+        add(x_sum, x_new, x_sum)
+        add(w_sum, w, w_sum)
+        return sqrt(subtract(x_new, x_bar, sn).dot(sn))
 
     return step
 

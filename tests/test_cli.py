@@ -252,6 +252,12 @@ _BAD_INPUTS = {
                                    "payloads lacks 'K'"),
     "payload-without-file": ([], _edit_manifest(lambda d: d["payloads"]["b"].pop("file")),
                              "payload 'b' lacks 'file'"),
+    # the same bytes under the transposed shape, and the float64 bytes read as int64
+    "transposed-K-shape": (
+        [], _edit_manifest(lambda d: d["payloads"]["K"].update(shape=[40, 20])),
+        "payload 'K': shape [40, 20] is not the [20, 40] that its dims (m, n) give"),
+    "int64-K-dtype": ([], _edit_manifest(lambda d: d["payloads"]["K"].update(dtype="int64")),
+                      "payload 'K': 'dtype' must be one of ['float64'], got 'int64'"),
     "params-not-an-object": ([], _edit_manifest(lambda d: d.update(params=[1])),
                              "'params' must be an object, got list"),
     "manifest-without-lam": ([], _edit_manifest(lambda d: d["params"].pop("lam")),
